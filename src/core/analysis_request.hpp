@@ -3,7 +3,8 @@
 // outputs to compute (risk metrics), and which engine extensions to
 // run alongside (reinstatements, secondary uncertainty). *How* to
 // execute is the ExecutionPolicy (engine_factory.hpp), either the
-// session's default or a per-request override.
+// session's default or a per-request override. AnalysisResult is what
+// one request produces, locally or through a lease fleet.
 //
 // Requests hold their inputs by pointer: a batch of many portfolios
 // priced against one shared YET is many requests pointing at the same
@@ -16,6 +17,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine_factory.hpp"
@@ -29,12 +31,8 @@
 namespace ara {
 
 /// Declarative metric query plan (core/metrics/metrics_spec.hpp):
-/// caller-chosen quantile and return-period sets per scope. The legacy
-/// two-boolean MetricsSelection survives as a shim —
-/// `MetricsSpec::from_selection(...)` / `MetricsSpec::layer_summaries()`
-/// / `MetricsSpec::all()` migrate old call sites mechanically.
+/// caller-chosen quantile and return-period sets per scope.
 using MetricsSpec = metrics::MetricsSpec;
-using MetricsSelection = metrics::MetricsSelection;
 
 /// What happens to the simulated YLT itself. Metrics are computed
 /// either way; the policy decides whether the table outlives the run.
@@ -123,6 +121,59 @@ struct AnalysisRequest {
   /// deterministic, and the engine choice in the policy is ignored
   /// (the extension has a single sequential implementation).
   std::optional<ext::SecondaryUncertaintyConfig> secondary_uncertainty;
+};
+
+/// Everything one analysis produced: the raw simulation output (YLT +
+/// op counts + measured and simulated timings) plus the requested
+/// derived metrics and extension results, in one struct.
+struct AnalysisResult {
+  std::string label;  ///< copied from the request
+
+  /// The engine kind that actually ran. nullopt when an extension
+  /// replaced the core engine (secondary uncertainty).
+  std::optional<EngineKind> engine;
+  bool auto_selected = false;     ///< engine came from kAuto
+  double predicted_seconds = 0.0; ///< kAuto's cost-model prediction
+
+  /// Trial shards the simulation executed as (1 = monolithic). The
+  /// merged result is bitwise identical either way (DESIGN.md §5).
+  std::size_t shard_count = 1;
+
+  /// The raw simulation output. `simulation.ylt` is empty for
+  /// YltRetention::kDiscard / kSpillToFile runs — the metrics below
+  /// are then the run's product (DESIGN.md §6).
+  SimulationResult simulation;
+
+  /// Everything the request's MetricsSpec asked for. Empty when the
+  /// spec was none() or no simulation ran.
+  metrics::MetricsReport metrics;
+
+  /// Where the YLT was spilled (kSpillToFile only; the io::load_ylt /
+  /// io::YltChunkReader format, byte-identical to saving the
+  /// monolithic table).
+  std::string ylt_path;
+
+  /// Filled when the request carried reinstatement terms.
+  std::optional<ext::ReinstatementResult> reinstatements;
+
+  /// Trials actually simulated: the full workload for fixed runs (0
+  /// when no core simulation ran), the stopped frontier for adaptive
+  /// ones.
+  std::size_t trials_executed = 0;
+  /// True when an adaptive run stopped before the workload's full
+  /// trial count (always false for fixed runs).
+  bool stopped_early = false;
+  /// The adaptive stopping rule's final per-target confidence
+  /// intervals (empty for fixed runs).
+  std::vector<metrics::TargetStatus> half_widths;
+
+  /// Metrics of the layer named `label`, or nullptr when per-layer
+  /// metrics were not requested / no such layer exists — so batch
+  /// consumers look results up by name instead of indexing parallel
+  /// vectors by hand.
+  const metrics::LayerMetrics* metrics_for(std::string_view label) const {
+    return metrics.layer(label);
+  }
 };
 
 }  // namespace ara

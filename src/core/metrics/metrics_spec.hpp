@@ -20,20 +20,9 @@
 
 namespace ara::metrics {
 
-/// Legacy two-boolean metric selection (the pre-MetricsSpec request
-/// surface), kept so existing call sites migrate mechanically through
-/// MetricsSpec::from_selection. New code should build a MetricsSpec.
-struct MetricsSelection {
-  bool layer_summaries = false;   ///< AAL/VaR/TVaR/PML/OEP per layer
-  bool portfolio_rollup = false;  ///< book-level tail + capital allocation
-
-  static MetricsSelection none() { return {}; }
-  static MetricsSelection all() { return {true, true}; }
-};
-
 /// Which derived risk metrics to compute, and at which points.
-/// Everything defaults off; `layer_summaries()` / `all()` reproduce
-/// the legacy MetricsSelection presets (p = 0.99, T = {100, 250}).
+/// Everything defaults off; the presets `layer_summaries()`,
+/// `portfolio_rollup()` and `all()` ask at p = 0.99, T = {100, 250}.
 ///
 /// Memory note for streamed (kDiscard / kSpillToFile) runs: the
 /// reducers keep one tail reservoir per requested sample, sized by the
@@ -91,8 +80,7 @@ struct MetricsSpec {
 
   static MetricsSpec none() { return {}; }
 
-  /// Both scopes at the legacy points — the MetricsSelection::all()
-  /// shim (capital allocation included, as the old rollup computed it).
+  /// Both scopes at the preset points, capital allocation included.
   static MetricsSpec all() {
     MetricsSpec s;
     s.per_layer = true;
@@ -101,29 +89,19 @@ struct MetricsSpec {
     return s;
   }
 
-  /// The legacy `layer_summaries` preset: per-layer AAL/VaR99/TVaR99,
-  /// PML at 100/250 years, OEP at 100 years.
+  /// Per-layer AAL/VaR99/TVaR99, PML and OEP at 100/250 years.
   static MetricsSpec layer_summaries() {
     MetricsSpec s;
     s.per_layer = true;
     return s;
   }
 
-  /// The legacy `portfolio_rollup` preset: book-level tail figures plus
-  /// diversification benefit and marginal TVaR at p = 0.99.
+  /// Book-level tail figures plus diversification benefit and
+  /// marginal TVaR at p = 0.99.
   static MetricsSpec portfolio_rollup() {
     MetricsSpec s;
     s.portfolio = true;
     s.capital_allocation = true;
-    return s;
-  }
-
-  /// Mechanical migration shim from the legacy two-boolean selection.
-  static MetricsSpec from_selection(const MetricsSelection& sel) {
-    MetricsSpec s;
-    s.per_layer = sel.layer_summaries;
-    s.portfolio = sel.portfolio_rollup;
-    s.capital_allocation = sel.portfolio_rollup;
     return s;
   }
 };

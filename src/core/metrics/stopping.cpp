@@ -211,6 +211,43 @@ std::vector<TargetStatus> evaluate_stopping(const StoppingSpec& spec,
   return out;
 }
 
+std::size_t adaptive_wave_trials(const StoppingSpec& spec,
+                                 std::size_t total_trials,
+                                 std::size_t block_trials) {
+  const std::size_t budget = spec.budget(total_trials);
+  const std::size_t wave = block_trials != 0 && block_trials < total_trials
+                               ? block_trials
+                               : (budget + 15) / 16;
+  return std::max<std::size_t>(1, std::min(wave, budget));
+}
+
+std::size_t next_frontier(const StoppingSpec& spec, std::size_t total_trials,
+                          std::size_t wave_trials, std::size_t frontier) {
+  const std::size_t budget = spec.budget(total_trials);
+  const std::size_t wave =
+      std::max<std::size_t>(1, std::min(wave_trials, budget));
+  // Round up to a whole wave, saturating at the budget.
+  const auto clamp_to_wave = [&](std::size_t trials) {
+    if (trials >= budget) return budget;
+    const std::size_t waves = (trials + wave - 1) / wave;
+    if (waves > budget / wave) return budget;
+    return std::min(budget, waves * wave);
+  };
+  if (frontier == 0) {
+    return clamp_to_wave(std::max<std::size_t>(spec.min_trials, 1));
+  }
+  // Geometric growth, forced past the current frontier, wave-aligned.
+  const double grown =
+      std::ceil(static_cast<double>(frontier) * spec.wave_growth);
+  std::size_t next =
+      grown >= static_cast<double>(budget)
+          ? budget
+          : std::max(frontier + 1, static_cast<std::size_t>(grown));
+  next = clamp_to_wave(next);
+  if (next <= frontier) next = clamp_to_wave(frontier + 1);
+  return next;
+}
+
 AdaptiveController::AdaptiveController(StoppingSpec spec,
                                        std::size_t total_trials,
                                        std::size_t wave_trials)
@@ -219,19 +256,11 @@ AdaptiveController::AdaptiveController(StoppingSpec spec,
   if (total_trials == 0) {
     throw std::invalid_argument("stopping: workload has no trials");
   }
-  max_ = spec_.max_trials != 0 ? std::min(spec_.max_trials, total_trials)
-                               : total_trials;
+  max_ = spec_.budget(total_trials);
   wave_ = std::clamp<std::size_t>(wave_trials, 1, max_);
-  frontier_ = clamp_to_wave(std::max<std::size_t>(spec_.min_trials, 1));
+  // max_ is its own budget, so it stands in for the workload size.
+  frontier_ = next_frontier(spec_, max_, wave_, 0);
   losses_.resize(frontier_);
-}
-
-std::size_t AdaptiveController::clamp_to_wave(std::size_t trials) const {
-  if (trials >= max_) return max_;
-  // Round up to a whole wave, saturating at the budget.
-  const std::size_t waves = (trials + wave_ - 1) / wave_;
-  if (waves > max_ / wave_) return max_;
-  return std::min(max_, waves * wave_);
 }
 
 void AdaptiveController::observe(std::size_t trial_begin,
@@ -257,16 +286,7 @@ void AdaptiveController::advance() {
     converged_ = all;
     return;
   }
-  // Geometric growth, forced past the current frontier, wave-aligned.
-  const double grown =
-      std::ceil(static_cast<double>(frontier_) * spec_.wave_growth);
-  std::size_t next =
-      grown >= static_cast<double>(max_)
-          ? max_
-          : std::max(frontier_ + 1, static_cast<std::size_t>(grown));
-  next = clamp_to_wave(next);
-  if (next <= frontier_) next = clamp_to_wave(frontier_ + 1);
-  frontier_ = next;
+  frontier_ = next_frontier(spec_, max_, wave_, frontier_);
   losses_.resize(frontier_);
 }
 

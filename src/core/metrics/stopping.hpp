@@ -63,7 +63,31 @@ struct StoppingSpec {
   /// levels outside (0, 1), too few bootstrap reps for a
   /// bootstrap-needing target).
   void validate() const;
+
+  /// The trial budget on a workload of `total_trials`: max_trials when
+  /// set (capped at the workload), else the whole workload.
+  std::size_t budget(std::size_t total_trials) const noexcept {
+    return max_trials != 0 && max_trials < total_trials ? max_trials
+                                                        : total_trials;
+  }
 };
+
+/// Trials per adaptive wave: `block_trials` (the executor's shard or
+/// lease size) when it splits the workload, else a sixteenth of the
+/// budget so the schedule has room to stop early; clamped to
+/// [1, budget].
+std::size_t adaptive_wave_trials(const StoppingSpec& spec,
+                                 std::size_t total_trials,
+                                 std::size_t block_trials);
+
+/// The geometric wave schedule shared by AdaptiveController and
+/// AnalysisSession::race(): the frontier that follows `frontier`.
+/// `frontier` = 0 asks for the first one, min_trials (at least one)
+/// rounded up to whole waves; each later one grows the previous by
+/// wave_growth, forced past it and rounded up to whole waves. Every
+/// frontier is capped at the budget.
+std::size_t next_frontier(const StoppingSpec& spec, std::size_t total_trials,
+                          std::size_t wave_trials, std::size_t frontier);
 
 /// One target's interval at the latest evaluation.
 struct TargetStatus {
@@ -102,8 +126,8 @@ TargetStatus evaluate_target(const StoppingTarget& target,
 std::vector<TargetStatus> evaluate_stopping(const StoppingSpec& spec,
                                             std::span<const double> losses);
 
-/// The wave scheduler and stopping oracle shared by the session's
-/// adaptive loop and the distributed coordinator's lease granting.
+/// The wave scheduler and stopping oracle of every adaptive run, local
+/// or distributed (core/range_executor.hpp drives it).
 ///
 /// Protocol: the executor runs trials up to frontier(), feeds each
 /// completed block's per-trial portfolio losses to observe() (any
@@ -112,8 +136,7 @@ std::vector<TargetStatus> evaluate_stopping(const StoppingSpec& spec,
 /// frontier is fully observed. advance() evaluates the stopping rule
 /// and either marks the run stopped or extends the frontier to the
 /// next wave. Not thread-safe: callers synchronize externally (the
-/// coordinator holds its own mutex; the session drives it from the
-/// orchestrating thread).
+/// range loop holds its own mutex).
 class AdaptiveController {
  public:
   /// `total_trials` bounds the budget (the workload's trial count);
@@ -161,8 +184,6 @@ class AdaptiveController {
   }
 
  private:
-  std::size_t clamp_to_wave(std::size_t trials) const;
-
   StoppingSpec spec_;
   std::size_t wave_ = 1;
   std::size_t max_ = 0;

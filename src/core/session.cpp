@@ -1,8 +1,6 @@
 #include "core/session.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -10,53 +8,17 @@
 
 #include "core/failpoint.hpp"
 #include "core/gpu_engines.hpp"
-#include "core/metrics/streaming.hpp"
-#include "io/yet_chunk.hpp"
+#include "core/metrics/portfolio_rollup.hpp"
+#include "core/range_executor.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/partition.hpp"
 #include "perf/cpu_cost_model.hpp"
 #include "perf/machine_profile.hpp"
-#include "perf/stopwatch.hpp"
 #include "simgpu/gpu_cost_model.hpp"
 
 namespace ara {
 
 namespace {
-
-// Serialises shard blocks into the spill writer (YltChunkWriter seeks,
-// so concurrent appends must not interleave).
-class SpillSink : public YltBlockSink {
- public:
-  explicit SpillSink(io::YltChunkWriter& writer) : writer_(writer) {}
-  void consume(const Ylt& block, std::size_t trial_begin) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    writer_.append(block, trial_begin);
-  }
-
- private:
-  std::mutex mutex_;
-  io::YltChunkWriter& writer_;
-};
-
-// Forwards each block to every attached sink (metric reducers + spill
-// writer); the attached sinks serialise themselves.
-class FanoutSink : public YltBlockSink {
- public:
-  void attach(YltBlockSink* sink) { sinks_.push_back(sink); }
-  void consume(const Ylt& block, std::size_t trial_begin) override {
-    for (YltBlockSink* sink : sinks_) sink->consume(block, trial_begin);
-  }
-
- private:
-  std::vector<YltBlockSink*> sinks_;
-};
-
-std::vector<std::string> layer_labels(const Portfolio& portfolio) {
-  std::vector<std::string> labels;
-  labels.reserve(portfolio.layer_count());
-  for (const Layer& layer : portfolio.layers()) labels.push_back(layer.name);
-  return labels;
-}
 
 // An engine is reusable whenever kind + tunables + devices match; the
 // key serialises exactly the fields make_engine consumes.
@@ -462,39 +424,27 @@ ShardPlan AnalysisSession::shard_plan(const Portfolio& portfolio,
                                            yet.mean_events_per_trial()));
 }
 
-SimulationResult AnalysisSession::run_sharded(const Engine& engine,
-                                              const Portfolio& portfolio,
-                                              const Yet& yet, EngineKind kind,
-                                              const EngineConfig& cfg,
-                                              const ShardPlan& plan,
-                                              YltBlockSink* sink,
-                                              bool materialize) {
-  perf::Stopwatch wall;
-  ShardMerger merger(portfolio.layer_count(), yet.trial_count(), sink,
-                     materialize);
-
-  // The context is shard-invariant (tables, compute pool); bind it
-  // once and pin the tables for the whole wave instead of paying the
-  // cache lock per shard.
-  TablePins pins;
-  const EngineContext base_ctx = context_for(portfolio, kind, cfg, pins);
-
-  // One task per shard, pulled dynamically so shards pipeline across
-  // the shard pool's workers; partial results stream into the merger
-  // in completion order (the merge algebra is order-independent —
-  // disjoint YLT blocks, integer op sums).
+void AnalysisSession::run_on_shards(
+    std::span<const TrialRange> ranges,
+    const std::function<void(std::size_t)>& task) {
+  // A lone range is the monolithic run: no pool, no thread hop, and
+  // its failure propagates exactly as the engine threw it.
+  if (ranges.size() == 1) {
+    task(0);
+    return;
+  }
+  // One task per range, pulled dynamically so ranges pipeline across
+  // the shard pool's workers.
   parallel::parallel_for(
-      shard_pool(), plan.shard_count(),
+      shard_pool(), ranges.size(),
       [&](parallel::Range shards) {
         for (std::size_t i = shards.begin; i < shards.end; ++i) {
-          EngineContext ctx = base_ctx;
-          ctx.trials = plan.shard(i);
           try {
             ARA_FAILPOINT("shard.worker_throw", {
               (void)ara_fp;
               throw std::runtime_error("injected shard worker fault");
             });
-            merger.add(engine.run(portfolio, yet, ctx));
+            task(i);
           } catch (const DeadlineExceeded&) {
             // Typed: queue-level callers (the serve scheduler) turn it
             // into an explicit shed — wrapping would erase that.
@@ -503,34 +453,59 @@ SimulationResult AnalysisSession::run_sharded(const Engine& engine,
             // Name the shard: a batch caller's future should say which
             // trial range failed, not just that "a worker" did.
             throw std::runtime_error(
-                "shard [" + std::to_string(ctx.trials.begin) + ", " +
-                std::to_string(ctx.trials.end) + ") failed: " + e.what());
+                "shard [" + std::to_string(ranges[i].begin) + ", " +
+                std::to_string(ranges[i].end) + ") failed: " + e.what());
           }
         }
       },
       parallel::Schedule::kDynamic, /*chunk=*/1);
-
-  SimulationResult merged = merger.finish();
-  const double elapsed = wall.seconds();
-
-  // Reconstitute the monolithic accounting bitwise: op counts and the
-  // simulated timeline are pure functions of the full workload, so a
-  // cost-only replay over the whole range computes exactly what the
-  // monolithic run would have reported (DESIGN.md §5). The per-shard
-  // simulated times (which include real per-shard launch overhead)
-  // stay available through ShardMerger::sharded_simulated_seconds.
-  EngineContext cost_ctx;
-  cost_ctx.cost_only = true;
-  const SimulationResult mono = engine.run(portfolio, yet, cost_ctx);
-  merged.ops = mono.ops;
-  merged.simulated_phases = mono.simulated_phases;
-  merged.simulated_seconds = mono.simulated_seconds;
-  merged.engine_name = mono.engine_name;
-  merged.devices = mono.devices;
-  merged.simd_isa = mono.simd_isa;
-  merged.wall_seconds = elapsed;
-  return merged;
 }
+
+// The session's RangeExecutor: each wave runs on the shard pool and
+// every partial goes to run_ranges() as soon as it completes; the ranges
+// an accept returns (an adaptive barrier) run as the next wave.
+class AnalysisSession::ShardExecutor final : public RangeExecutor {
+ public:
+  ShardExecutor(AnalysisSession& session, const Engine& engine,
+                const Portfolio& portfolio, const Yet& yet, EngineKind kind,
+                const EngineConfig& cfg)
+      : session_(session),
+        engine_(engine),
+        portfolio_(portfolio),
+        yet_(yet),
+        kind_(kind),
+        cfg_(cfg) {}
+
+  void run(std::vector<TrialRange> ranges, const Accept& accept) override {
+    // The context is range-invariant (tables, compute pool); bind it
+    // once and pin the tables for the whole run instead of paying the
+    // cache lock per range.
+    TablePins pins;
+    const EngineContext base =
+        session_.context_for(portfolio_, kind_, cfg_, pins);
+    while (!ranges.empty()) {
+      std::mutex mutex;
+      std::vector<TrialRange> next;
+      session_.run_on_shards(ranges, [&](std::size_t i) {
+        EngineContext ctx = base;
+        ctx.trials = ranges[i];
+        const std::vector<TrialRange> more =
+            accept(engine_.run(portfolio_, yet_, ctx));
+        std::lock_guard<std::mutex> lock(mutex);
+        next.insert(next.end(), more.begin(), more.end());
+      });
+      ranges = std::move(next);
+    }
+  }
+
+ private:
+  AnalysisSession& session_;
+  const Engine& engine_;
+  const Portfolio& portfolio_;
+  const Yet& yet_;
+  EngineKind kind_;
+  EngineConfig cfg_;
+};
 
 const Engine& AnalysisSession::engine_for(EngineKind kind,
                                           const ExecutionPolicy& policy) {
@@ -578,159 +553,38 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
                                              const ExecutionPolicy& policy) {
   const Portfolio& portfolio = *request.portfolio;
   const Yet& yet = *request.yet;
+  const ShardPlan plan = shard_plan(portfolio, yet, policy);
 
   AnalysisResult result;
-  result.label = request.label;
-
-  // Validate the metric plan and retention before any work runs.
-  request.metrics.validate();
-  if (request.ylt_retention == YltRetention::kSpillToFile &&
-      request.ylt_path.empty()) {
-    throw std::invalid_argument(
-        "AnalysisSession: YltRetention::kSpillToFile requires "
-        "AnalysisRequest::ylt_path");
-  }
-
-  const ShardPlan plan = shard_plan(portfolio, yet, policy);
-  const bool sharded_run = policy.sharded() && plan.shard_count() > 1;
-  const bool will_simulate =
-      request.core_simulation || request.secondary_uncertainty.has_value();
-
-  if (request.stopping) {
-    if (!will_simulate) {
-      throw std::invalid_argument(
-          "AnalysisSession: adaptive stopping needs the core simulation "
-          "(or secondary uncertainty) — an extension-only request has no "
-          "trial loop to stop");
-    }
-    return run_adaptive(request, policy, plan);
-  }
-
-  if (request.ylt_retention == YltRetention::kSpillToFile && !will_simulate) {
-    // An extension-only run produces no YLT; silently writing nothing
-    // would surface as a confusing open-failure at the caller's reload.
-    throw std::invalid_argument(
-        "AnalysisSession: YltRetention::kSpillToFile needs the core "
-        "simulation (or secondary uncertainty) — an extension-only "
-        "request produces no YLT to spill");
-  }
-  const bool metrics_feasible = will_simulate && request.metrics.any() &&
-                                portfolio.layer_count() > 0 &&
-                                yet.trial_count() > 0;
-
-  // A sharded run that does not keep its YLT streams every shard block
-  // straight into the metric reducers and/or the spill writer and
-  // drops it — the layers x trials table is never allocated
-  // (DESIGN.md §6). Monolithic runs (and kKeep) compute metrics and
-  // spill from the full table after the fact; either way the numbers
-  // agree (bitwise on the order-statistic family, <= 1e-12 relative on
-  // the mean family).
-  const bool stream_blocks =
-      sharded_run && will_simulate &&
-      request.ylt_retention != YltRetention::kKeep;
-
-  // A failed spill must not leave its file behind: the chunk writer
-  // pre-extends the file to full size under a valid header before any
-  // shard completes, so a leftover from an aborted run would reload as
-  // silently-zero losses. Armed only once a writer has truncated the
-  // path (a failure before that must not delete a pre-existing file
-  // this run never touched); disarmed after a successful close.
-  struct SpillCleanup {
-    const char* path = nullptr;
-    ~SpillCleanup() {
-      if (path != nullptr) std::remove(path);
-    }
-  } spill_cleanup;
-
-  std::optional<metrics::StreamingMetricsReducer> reducer;
-  std::unique_ptr<io::YltChunkWriter> spill_writer;
-  std::optional<SpillSink> spill_sink;
-  FanoutSink fanout;
-  if (stream_blocks) {
-    if (metrics_feasible) {
-      reducer.emplace(layer_labels(portfolio), yet.trial_count(),
-                      request.metrics);
-      fanout.attach(&*reducer);
-    }
-    if (request.ylt_retention == YltRetention::kSpillToFile) {
-      spill_writer = std::make_unique<io::YltChunkWriter>(
-          request.ylt_path, portfolio.layer_count(), yet.trial_count());
-      spill_cleanup.path = request.ylt_path.c_str();
-      spill_sink.emplace(*spill_writer);
-      fanout.attach(&*spill_sink);
-    }
-  }
-  YltBlockSink* const sink = stream_blocks ? &fanout : nullptr;
-
-  const auto execute = [&](const Engine& engine, EngineKind ctx_kind,
-                           const EngineConfig& cfg) {
-    // A plan that collapses to one shard IS the monolithic run; the
-    // merge copy and the cost-only replay would buy nothing.
-    if (sharded_run) {
-      result.simulation = run_sharded(engine, portfolio, yet, ctx_kind, cfg,
-                                      plan, sink, /*materialize=*/!stream_blocks);
-      result.shard_count = plan.shard_count();
-    } else {
-      TablePins pins;
-      result.simulation = engine.run(
-          portfolio, yet, context_for(portfolio, ctx_kind, cfg, pins));
-    }
-  };
-
-  if (request.secondary_uncertainty) {
-    // The extension is itself an Engine with a single implementation;
-    // it replaces the policy's engine choice. It still draws the
-    // session's cached double-precision tables, and shards like the
-    // core engines (its damage draws are keyed by global trial index,
-    // so shard boundaries do not move them).
-    const ext::SecondaryUncertaintyEngine engine(*request.secondary_uncertainty);
-    execute(engine, EngineKind::kSequentialFused,
-            resolved_config(policy, EngineKind::kSequentialFused));
-  } else if (request.core_simulation) {
-    EngineKind kind;
-    if (policy.engine) {
+  if (request.core_simulation || request.secondary_uncertainty) {
+    // The secondary-uncertainty extension is itself an Engine with a
+    // single implementation; it replaces the policy's engine choice. It
+    // still draws the session's cached double-precision tables, and
+    // shards like the core engines (its damage draws are keyed by
+    // global trial index, so shard boundaries do not move them).
+    std::optional<ext::SecondaryUncertaintyEngine> su_engine;
+    std::optional<EnginePrediction> chosen;
+    EngineKind kind = EngineKind::kSequentialFused;
+    if (request.secondary_uncertainty) {
+      su_engine.emplace(*request.secondary_uncertainty);
+    } else if (policy.engine) {
       kind = *policy.engine;
     } else {
-      const EnginePrediction best = choose(portfolio, yet, policy);
-      kind = best.kind;
+      chosen = choose(portfolio, yet, policy);
+      kind = chosen->kind;
+    }
+    const Engine& engine = su_engine ? *su_engine : engine_for(kind, policy);
+    ShardExecutor executor(*this, engine, portfolio, yet, kind,
+                           resolved_config(policy, kind));
+    result = run_ranges(request, engine, plan, executor);
+    if (!su_engine) result.engine = kind;
+    if (chosen) {
       result.auto_selected = true;
-      result.predicted_seconds = best.seconds;
+      result.predicted_seconds = chosen->seconds;
     }
-    result.engine = kind;
-    execute(engine_for(kind, policy), kind, resolved_config(policy, kind));
-  }
-  if (will_simulate) result.trials_executed = yet.trial_count();
-
-  if (metrics_feasible) {
-    result.metrics =
-        stream_blocks
-            ? reducer->finish()
-            : metrics::compute_metrics(result.simulation.ylt,
-                                       layer_labels(portfolio),
-                                       request.metrics);
-  }
-
-  if (will_simulate &&
-      request.ylt_retention == YltRetention::kSpillToFile) {
-    if (stream_blocks) {
-      spill_writer->close();
-    } else {
-      // Monolithic table resident: spill it as one block. Same writer,
-      // same bytes as the streamed path.
-      io::YltChunkWriter writer(request.ylt_path,
-                                result.simulation.ylt.layer_count(),
-                                result.simulation.ylt.trial_count());
-      spill_cleanup.path = request.ylt_path.c_str();
-      writer.append(result.simulation.ylt, 0);
-      writer.close();
-    }
-    spill_cleanup.path = nullptr;  // complete and coverage-checked
-    result.ylt_path = request.ylt_path;
-  }
-  if (will_simulate && request.ylt_retention != YltRetention::kKeep) {
-    // Metric-only / spilled runs hand back an empty table; with the
-    // streamed path above it was never allocated in the first place.
-    result.simulation.ylt = Ylt();
+  } else {
+    validate_request(request);
+    result.label = request.label;
   }
 
   if (!request.reinstatement_terms.empty()) {
@@ -746,191 +600,20 @@ AnalysisResult AnalysisSession::run_resolved(const AnalysisRequest& request,
                     resolved_config(policy, EngineKind::kSequentialFused),
                     pins)
             .tables_f64;
-    if (policy.sharded() && plan.shard_count() > 1) {
+    const std::vector<TrialRange> ranges = plan.ranges();
+    if (ranges.size() == 1) {
+      result.reinstatements = engine.run(yet, tables);
+    } else {
       ext::ReinstatementResult full(portfolio.layer_count(),
                                     yet.trial_count());
-      parallel::parallel_for(
-          shard_pool(), plan.shard_count(),
-          [&](parallel::Range shards) {
-            for (std::size_t i = shards.begin; i < shards.end; ++i) {
-              const TrialRange r = plan.shard(i);
-              // Disjoint trial blocks: concurrent merges write
-              // non-overlapping rows.
-              full.merge_trial_block(engine.run(yet, tables, r), r.begin);
-            }
-          },
-          parallel::Schedule::kDynamic, /*chunk=*/1);
+      run_on_shards(ranges, [&](std::size_t i) {
+        // Disjoint trial blocks: concurrent merges write
+        // non-overlapping rows.
+        full.merge_trial_block(engine.run(yet, tables, ranges[i]),
+                               ranges[i].begin);
+      });
       result.reinstatements = std::move(full);
-    } else {
-      result.reinstatements = engine.run(yet, tables);
     }
-  }
-  return result;
-}
-
-AnalysisResult AnalysisSession::run_adaptive(const AnalysisRequest& request,
-                                             const ExecutionPolicy& policy,
-                                             const ShardPlan& plan) {
-  const Portfolio& portfolio = *request.portfolio;
-  const Yet& yet = *request.yet;
-  const metrics::StoppingSpec& spec = *request.stopping;
-  spec.validate();
-
-  if (request.ylt_retention == YltRetention::kSpillToFile) {
-    // The chunk writer pre-extends the file to the full fixed trial
-    // count under a valid header; an early stop would leave the unrun
-    // suffix reloading as silently-zero losses.
-    throw std::invalid_argument(
-        "AnalysisSession: adaptive stopping cannot spill the YLT — the "
-        "spill format is sized for the fixed trial count");
-  }
-  if (!request.reinstatement_terms.empty()) {
-    throw std::invalid_argument(
-        "AnalysisSession: adaptive stopping does not compose with "
-        "reinstatement pricing (the extension prices the fixed workload)");
-  }
-  if (portfolio.layer_count() == 0) {
-    throw std::invalid_argument(
-        "AnalysisSession: adaptive stopping needs at least one layer — "
-        "the stopping rule watches the per-trial portfolio loss");
-  }
-
-  AnalysisResult result;
-  result.label = request.label;
-
-  const std::size_t total = yet.trial_count();
-  const std::size_t budget =
-      spec.max_trials != 0 ? std::min(spec.max_trials, total) : total;
-  // Wave granularity: the policy's shard size when it shards, else a
-  // sixteenth of the budget so the schedule has room to stop early.
-  const std::size_t wave =
-      plan.shard_trials != 0 && plan.shard_trials < total
-          ? plan.shard_trials
-          : std::max<std::size_t>(1, (budget + 15) / 16);
-  metrics::AdaptiveController controller(spec, total, wave);
-
-  const bool keep = request.ylt_retention == YltRetention::kKeep;
-  const bool metrics_feasible = request.metrics.any();
-  // The reducer is sized for the whole budget; its reservoirs are
-  // exact for any stopped prefix (streaming.hpp), so finish(executed)
-  // below finalizes whatever the oracle settled on.
-  std::optional<metrics::StreamingMetricsReducer> reducer;
-  if (!keep && metrics_feasible) {
-    reducer.emplace(layer_labels(portfolio), budget, request.metrics);
-  }
-
-  // Engine resolution mirrors the fixed path.
-  std::optional<ext::SecondaryUncertaintyEngine> su_engine;
-  const Engine* engine = nullptr;
-  EngineKind ctx_kind = EngineKind::kSequentialFused;
-  if (request.secondary_uncertainty) {
-    su_engine.emplace(*request.secondary_uncertainty);
-    engine = &*su_engine;
-  } else {
-    if (policy.engine) {
-      ctx_kind = *policy.engine;
-    } else {
-      const EnginePrediction best = choose(portfolio, yet, policy);
-      ctx_kind = best.kind;
-      result.auto_selected = true;
-      result.predicted_seconds = best.seconds;
-    }
-    result.engine = ctx_kind;
-    engine = &engine_for(ctx_kind, policy);
-  }
-  const EngineConfig cfg = resolved_config(policy, ctx_kind);
-
-  perf::Stopwatch wall;
-  TablePins pins;
-  const EngineContext base_ctx = context_for(portfolio, ctx_kind, cfg, pins);
-
-  const std::size_t layers = portfolio.layer_count();
-  std::vector<SimulationResult> partials;  // kKeep only
-  std::size_t executed = 0;
-  std::size_t shards_run = 0;
-
-  // The wave loop: simulate up to the frontier, feed the oracle, let
-  // it stop or extend. Shards within a wave run concurrently on the
-  // shard pool; waves are sequential by construction (each one exists
-  // only because the previous one failed to satisfy the rule).
-  while (!controller.stopped()) {
-    const std::size_t target = controller.frontier();
-    const std::vector<TrialRange> ranges =
-        shard_ranges(executed, target, wave);
-    std::vector<SimulationResult> wave_results(ranges.size());
-    parallel::parallel_for(
-        shard_pool(), ranges.size(),
-        [&](parallel::Range shards) {
-          for (std::size_t i = shards.begin; i < shards.end; ++i) {
-            EngineContext ctx = base_ctx;
-            ctx.trials = ranges[i];
-            try {
-              wave_results[i] = engine->run(portfolio, yet, ctx);
-            } catch (const DeadlineExceeded&) {
-              throw;
-            } catch (const std::exception& e) {
-              throw std::runtime_error(
-                  "shard [" + std::to_string(ctx.trials.begin) + ", " +
-                  std::to_string(ctx.trials.end) + ") failed: " + e.what());
-            }
-          }
-        },
-        parallel::Schedule::kDynamic, /*chunk=*/1);
-
-    for (SimulationResult& partial : wave_results) {
-      const std::size_t bt = partial.ylt.trial_count();
-      // Per-trial portfolio loss, layers outer — the association the
-      // streaming reducer uses, so the oracle sees bitwise the same
-      // sample a monolithic portfolio reduction would.
-      std::vector<double> sums(bt, 0.0);
-      for (std::size_t l = 0; l < layers; ++l) {
-        const double* row = partial.ylt.layer_annual(l);
-        for (std::size_t t = 0; t < bt; ++t) sums[t] += row[t];
-      }
-      controller.observe(partial.trial_begin, sums);
-      if (reducer) reducer->consume(partial.ylt, partial.trial_begin);
-      if (keep) partials.push_back(std::move(partial));
-    }
-    shards_run += ranges.size();
-    executed = target;
-    controller.advance();
-  }
-
-  SimulationResult merged;
-  if (keep) {
-    ShardMerger merger(layers, executed, nullptr, /*materialize=*/true);
-    for (const SimulationResult& partial : partials) merger.add(partial);
-    merged = merger.finish();
-  }
-  const double elapsed = wall.seconds();
-
-  // Monolithic accounting of what actually ran: cost-only replay over
-  // the executed prefix (engines honor ctx.trials in cost-only mode),
-  // exactly as the fixed sharded path replays the full range.
-  EngineContext cost_ctx;
-  cost_ctx.cost_only = true;
-  cost_ctx.trials = TrialRange{0, executed};
-  const SimulationResult mono = engine->run(portfolio, yet, cost_ctx);
-  merged.ops = mono.ops;
-  merged.simulated_phases = mono.simulated_phases;
-  merged.simulated_seconds = mono.simulated_seconds;
-  merged.engine_name = mono.engine_name;
-  merged.devices = mono.devices;
-  merged.simd_isa = mono.simd_isa;
-  merged.wall_seconds = elapsed;
-
-  result.simulation = std::move(merged);
-  result.shard_count = shards_run;
-  result.trials_executed = executed;
-  result.stopped_early = executed < total;
-  result.half_widths = controller.statuses();
-
-  if (metrics_feasible) {
-    result.metrics =
-        keep ? metrics::compute_metrics(result.simulation.ylt,
-                                        layer_labels(portfolio),
-                                        request.metrics)
-             : reducer->finish(executed);
   }
   return result;
 }
@@ -948,9 +631,9 @@ RaceResult AnalysisSession::race(std::span<const RaceEntry> entries,
           "least one layer");
     }
   }
-  // Reuse the StoppingSpec validation for the shared knobs (the race
-  // has no tolerance — elimination is pairwise — so a placeholder 1.0
-  // satisfies the range check).
+  // Reuse the StoppingSpec validation and wave schedule for the shared
+  // knobs (the race has no tolerance — elimination is pairwise — so a
+  // placeholder 1.0 satisfies the range check).
   metrics::StoppingSpec shape;
   shape.targets = {spec.objective};
   shape.relative_tolerance = 1.0;
@@ -966,19 +649,10 @@ RaceResult AnalysisSession::race(std::span<const RaceEntry> entries,
   if (total == 0) {
     throw std::invalid_argument("AnalysisSession::race: workload has no trials");
   }
-  const std::size_t budget =
-      spec.max_trials != 0 ? std::min(spec.max_trials, total) : total;
+  const std::size_t budget = shape.budget(total);
   const ExecutionPolicy& pol = spec.policy ? *spec.policy : default_policy_;
   const std::size_t wave =
-      pol.shard_trials != 0 && pol.shard_trials < total
-          ? pol.shard_trials
-          : std::max<std::size_t>(1, (budget + 15) / 16);
-  const auto clamp_to_wave = [&](std::size_t t) {
-    if (t >= budget) return budget;
-    const std::size_t waves = (t + wave - 1) / wave;
-    if (waves > budget / wave) return budget;
-    return std::min(budget, waves * wave);
-  };
+      metrics::adaptive_wave_trials(shape, total, pol.shard_trials);
 
   // Family-wise confidence by union bound: each arm's interval runs at
   // 1 - (1 - c) / K, so the probability any of the K intervals misses
@@ -1009,54 +683,35 @@ RaceResult AnalysisSession::race(std::span<const RaceEntry> entries,
                                resolved_config(pol, kind), arm.pins);
   }
 
-  struct ArmTask {
-    std::size_t arm = 0;
-    TrialRange range;
-  };
-
-  std::size_t frontier =
-      clamp_to_wave(std::max<std::size_t>(spec.min_trials, 1));
+  std::size_t frontier = metrics::next_frontier(shape, total, wave, 0);
   bool separated = false;
   for (;;) {
     // Extend every surviving arm to the shared frontier (common random
     // numbers: all arms price the same simulated years), flattened so
     // shards of different arms interleave freely on the pool.
-    std::vector<ArmTask> tasks;
+    std::vector<TrialRange> ranges;
+    std::vector<std::size_t> owners;
     for (std::size_t k = 0; k < arms.size(); ++k) {
       if (!arms[k].active) continue;
       arms[k].losses.resize(frontier);
       for (const TrialRange& r :
            shard_ranges(arms[k].executed, frontier, wave)) {
-        tasks.push_back({k, r});
+        ranges.push_back(r);
+        owners.push_back(k);
       }
     }
-    parallel::parallel_for(
-        shard_pool(), tasks.size(),
-        [&](parallel::Range slots) {
-          for (std::size_t i = slots.begin; i < slots.end; ++i) {
-            ArmState& arm = arms[tasks[i].arm];
-            EngineContext ctx = arm.base_ctx;
-            ctx.trials = tasks[i].range;
-            try {
-              const SimulationResult partial =
-                  arm.engine->run(*arm.portfolio, yet, ctx);
-              const std::size_t bt = partial.ylt.trial_count();
-              // Disjoint slices per task: lock-free writes.
-              double* out = arm.losses.data() + partial.trial_begin;
-              for (std::size_t t = 0; t < bt; ++t) out[t] = 0.0;
-              for (std::size_t l = 0; l < partial.ylt.layer_count(); ++l) {
-                const double* row = partial.ylt.layer_annual(l);
-                for (std::size_t t = 0; t < bt; ++t) out[t] += row[t];
-              }
-            } catch (const std::exception& e) {
-              throw std::runtime_error(
-                  "race arm " + std::to_string(tasks[i].arm) + " shard [" +
-                  std::to_string(ctx.trials.begin) + ", " +
-                  std::to_string(ctx.trials.end) + ") failed: " + e.what());
-            }
-          }
-        },
-        parallel::Schedule::kDynamic, /*chunk=*/1);
+    run_on_shards(ranges, [&](std::size_t i) {
+      ArmState& arm = arms[owners[i]];
+      EngineContext ctx = arm.base_ctx;
+      ctx.trials = ranges[i];
+      const SimulationResult partial =
+          arm.engine->run(*arm.portfolio, yet, ctx);
+      const std::vector<double> losses =
+          metrics::portfolio_trial_losses(partial.ylt);
+      // Disjoint slices per range: lock-free writes.
+      std::copy(losses.begin(), losses.end(),
+                arm.losses.begin() + partial.trial_begin);
+    });
 
     std::size_t active = 0;
     for (std::size_t k = 0; k < arms.size(); ++k) {
@@ -1112,15 +767,7 @@ RaceResult AnalysisSession::race(std::span<const RaceEntry> entries,
       break;
     }
     if (frontier >= budget) break;
-    const double grown =
-        std::ceil(static_cast<double>(frontier) * spec.wave_growth);
-    std::size_t next =
-        grown >= static_cast<double>(budget)
-            ? budget
-            : std::max(frontier + 1, static_cast<std::size_t>(grown));
-    next = clamp_to_wave(next);
-    if (next <= frontier) next = clamp_to_wave(frontier + 1);
-    frontier = next;
+    frontier = metrics::next_frontier(shape, total, wave, frontier);
   }
 
   RaceResult result;

@@ -16,6 +16,10 @@
 //   * a persistent compute thread pool handed to engines through
 //     EngineContext (distinct from the run_batch dispatch pool — an
 //     engine running *on* the dispatch pool must not barrier on it),
+//   * a shard pool, the local RangeExecutor: every simulation —
+//     monolithic, sharded or adaptive — runs through the one
+//     trial-range loop (core/range_executor.hpp) on it, as a
+//     distributed run does over the lease fleet,
 //   * the cost models, used by ExecutionPolicy::kAuto to predict the
 //     simulated cost of every engine kind on the concrete workload
 //     and run the cheapest feasible one.
@@ -24,6 +28,7 @@
 // layer; the session is a superset (metrics, extensions, batching).
 #pragma once
 
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -42,59 +47,6 @@
 #include "parallel/thread_pool.hpp"
 
 namespace ara {
-
-/// Everything one analysis produced: the raw simulation output (YLT +
-/// op counts + measured and simulated timings) plus the requested
-/// derived metrics and extension results, in one struct.
-struct AnalysisResult {
-  std::string label;  ///< copied from the request
-
-  /// The engine kind that actually ran. nullopt when an extension
-  /// replaced the core engine (secondary uncertainty).
-  std::optional<EngineKind> engine;
-  bool auto_selected = false;     ///< engine came from kAuto
-  double predicted_seconds = 0.0; ///< kAuto's cost-model prediction
-
-  /// Trial shards the simulation executed as (1 = monolithic). The
-  /// merged result is bitwise identical either way (DESIGN.md §5).
-  std::size_t shard_count = 1;
-
-  /// The raw simulation output. `simulation.ylt` is empty for
-  /// YltRetention::kDiscard / kSpillToFile runs — the metrics below
-  /// are then the run's product (DESIGN.md §6).
-  SimulationResult simulation;
-
-  /// Everything the request's MetricsSpec asked for. Empty when the
-  /// spec was none() or no simulation ran.
-  metrics::MetricsReport metrics;
-
-  /// Where the YLT was spilled (kSpillToFile only; the io::load_ylt /
-  /// io::YltChunkReader format, byte-identical to saving the
-  /// monolithic table).
-  std::string ylt_path;
-
-  /// Filled when the request carried reinstatement terms.
-  std::optional<ext::ReinstatementResult> reinstatements;
-
-  /// Trials actually simulated: the full workload for fixed runs (0
-  /// when no core simulation ran), the stopped frontier for adaptive
-  /// ones.
-  std::size_t trials_executed = 0;
-  /// True when an adaptive run stopped before the workload's full
-  /// trial count (always false for fixed runs).
-  bool stopped_early = false;
-  /// The adaptive stopping rule's final per-target confidence
-  /// intervals (empty for fixed runs).
-  std::vector<metrics::TargetStatus> half_widths;
-
-  /// Metrics of the layer named `label`, or nullptr when per-layer
-  /// metrics were not requested / no such layer exists — so batch
-  /// consumers look results up by name instead of indexing parallel
-  /// vectors by hand.
-  const metrics::LayerMetrics* metrics_for(std::string_view label) const {
-    return metrics.layer(label);
-  }
-};
 
 /// One candidate layer structure entered into a race: a label plus the
 /// portfolio variant to price. All entries race against the same YET
@@ -291,33 +243,25 @@ class AnalysisSession {
     std::shared_ptr<TableStore<float>> f32;
   };
 
+  /// The shard pool's RangeExecutor (core/range_executor.hpp): the
+  /// session's simulations run through run_ranges() with it.
+  class ShardExecutor;
+
   const Engine& engine_for(EngineKind kind, const ExecutionPolicy& policy);
   AnalysisResult run_resolved(const AnalysisRequest& request,
                               const ExecutionPolicy& policy);
-
-  /// Adaptive wave execution of one core-simulation request: shards
-  /// granted wave by wave under request.stopping's oracle instead of
-  /// the fixed up-front plan (DESIGN.md §10).
-  AnalysisResult run_adaptive(const AnalysisRequest& request,
-                              const ExecutionPolicy& policy,
-                              const ShardPlan& plan);
   parallel::ThreadPool& batch_pool();
   parallel::ThreadPool& compute_pool();
   parallel::ThreadPool& shard_pool();
 
-  /// Sharded streaming execution of one engine run: shards dispatched
-  /// onto the shard pool, partial results merged as they complete, and
-  /// the monolithic simulated accounting reconstituted bitwise with a
-  /// cost-only replay (DESIGN.md §5). `sink` (optional) receives every
-  /// shard block; `materialize` = false skips assembling the
-  /// monolithic YLT — the metric-only / spill retention modes
-  /// (DESIGN.md §6).
-  SimulationResult run_sharded(const Engine& engine,
-                               const Portfolio& portfolio, const Yet& yet,
-                               EngineKind kind, const EngineConfig& cfg,
-                               const ShardPlan& plan,
-                               YltBlockSink* sink = nullptr,
-                               bool materialize = true);
+  /// The session's one shard loop, shared by simulations, the
+  /// reinstatement pass and race(): runs `task(i)` once per range. A
+  /// lone range runs on the calling thread (no pool is built) and its
+  /// failure propagates as thrown; several run on the shard pool, and
+  /// the first failure is rethrown naming its trial range
+  /// (DeadlineExceeded passes through unwrapped).
+  void run_on_shards(std::span<const TrialRange> ranges,
+                     const std::function<void(std::size_t)>& task);
 
   /// The cached EngineContext for running `kind` (with `cfg`) against
   /// `portfolio`: the right-precision TableStore (built on first use)

@@ -30,6 +30,12 @@ ShardPlan plan_shards(std::size_t total_trials, std::size_t shard_trials,
   return plan;
 }
 
+std::vector<TrialRange> ShardPlan::ranges() const {
+  std::vector<TrialRange> out(shard_count());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = shard(i);
+  return out;
+}
+
 std::vector<TrialRange> shard_ranges(std::size_t begin, std::size_t end,
                                      std::size_t shard_trials) {
   std::vector<TrialRange> ranges;
@@ -92,7 +98,6 @@ void ShardMerger::add(const SimulationResult& partial) {
     merged_.ops += partial.ops;
     merged_.wall_seconds += partial.wall_seconds;
     merged_.measured_phases += partial.measured_phases;
-    sharded_simulated_ += partial.simulated_seconds;
     if (first_) {
       merged_.engine_name = partial.engine_name;
       merged_.devices = partial.devices;
@@ -119,11 +124,6 @@ void ShardMerger::add(const SimulationResult& partial) {
 std::size_t ShardMerger::merged_trials() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return covered_;
-}
-
-double ShardMerger::sharded_simulated_seconds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sharded_simulated_;
 }
 
 SimulationResult ShardMerger::finish() {

@@ -44,6 +44,9 @@ struct ShardPlan {
     r.end = r.begin + size < total_trials ? r.begin + size : total_trials;
     return r;
   }
+
+  /// Every shard's range, in trial order.
+  std::vector<TrialRange> ranges() const;
 };
 
 /// Incremental plan extension: the contiguous shards tiling
@@ -96,7 +99,7 @@ ShardPlan plan_shards(std::size_t total_trials, std::size_t shard_trials,
 /// launches, partial-range launch shapes), so their sum is the cost of
 /// the sharded execution, not of the monolithic run. Callers that need
 /// the monolithic accounting replay it exactly with a cost-only engine
-/// run over the full range (AnalysisSession does; DESIGN.md §5).
+/// run over the full range (core/range_executor.hpp does; DESIGN.md §5).
 class ShardMerger {
  public:
   /// Shape of the full result being assembled. `sink`, when non-null,
@@ -113,10 +116,6 @@ class ShardMerger {
   /// Trials covered so far.
   std::size_t merged_trials() const;
 
-  /// Sum of the shards' own simulated seconds — the simulated cost of
-  /// executing the shards back to back (shard-overhead reporting).
-  double sharded_simulated_seconds() const;
-
   /// Moves the merged result out. Throws std::logic_error unless every
   /// trial row has been covered exactly once.
   SimulationResult finish();
@@ -128,7 +127,6 @@ class ShardMerger {
   std::size_t layer_count_ = 0;
   std::size_t trial_count_ = 0;
   std::size_t covered_ = 0;
-  double sharded_simulated_ = 0.0;
   bool first_ = true;
   YltBlockSink* sink_ = nullptr;
   bool materialize_ = true;

@@ -20,12 +20,8 @@
 #include <utility>
 
 #include "core/crc32c.hpp"
-#include "core/metrics/stopping.hpp"
-#include "core/metrics/streaming.hpp"
-#include "core/shard.hpp"
-#include "io/yet_chunk.hpp"
+#include "core/range_executor.hpp"
 #include "io/binary.hpp"
-#include "perf/stopwatch.hpp"
 #include "serve/service.hpp"
 
 namespace ara::dist {
@@ -38,13 +34,6 @@ using Clock = std::chrono::steady_clock;
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
 
-std::vector<std::string> layer_labels(const Portfolio& portfolio) {
-  std::vector<std::string> labels;
-  labels.reserve(portfolio.layer_count());
-  for (const Layer& layer : portfolio.layers()) labels.push_back(layer.name);
-  return labels;
-}
-
 /// Identity of one completed range's numeric content: CRC32C over the
 /// block's two row tables. Deterministic engines make re-executions of
 /// a range byte-identical, so equal ranges with unequal identities are
@@ -54,19 +43,6 @@ std::uint32_t block_identity(const Ylt& ylt) {
                              ylt.annual_raw().size() * sizeof(double));
   return crc32c(crc, ylt.max_occurrence_raw().data(),
                 ylt.max_occurrence_raw().size() * sizeof(double));
-}
-
-/// Per-trial portfolio loss of one block, layers outer — the same
-/// association the session's adaptive loop feeds its oracle, so a
-/// distributed adaptive run observes bitwise the same sample.
-std::vector<double> portfolio_trial_sums(const Ylt& ylt) {
-  const std::size_t bt = ylt.trial_count();
-  std::vector<double> sums(bt, 0.0);
-  for (std::size_t l = 0; l < ylt.layer_count(); ++l) {
-    const double* row = ylt.layer_annual(l);
-    for (std::size_t t = 0; t < bt; ++t) sums[t] += row[t];
-  }
-  return sums;
 }
 
 ExecutionPolicy policy_for_job(const JobSpec& job) {
@@ -118,7 +94,10 @@ struct ShardCoordinator::Lease {
   std::shared_ptr<WorkerConn> owner;
 };
 
-struct ShardCoordinator::Impl {
+/// The lease fleet's RangeExecutor: ranges are leased to workers (or
+/// run locally once the fleet is gone), and every block that passes the
+/// exactly-once discipline is handed to the accept of run_ranges().
+struct ShardCoordinator::Impl final : RangeExecutor {
   DistConfig config;
 
   int listen_fd = -1;
@@ -139,25 +118,24 @@ struct ShardCoordinator::Impl {
   /// authoritative "exactly once" record; ShardMerger's own disjoint
   /// set backs it up.
   std::map<std::uint64_t, std::pair<std::uint64_t, std::uint32_t>> done;
+  /// Trials accepted, and trials issued (the plan plus every range an
+  /// accept returned); the run is complete when the two meet.
   std::uint64_t covered = 0;
+  std::uint64_t planned = 0;
 
   DistCounters counters;
   std::size_t active_workers = 0;
   bool had_worker = false;
-  std::string fatal;  ///< non-empty = unrecoverable (conflicting bits)
+  std::string fatal;  ///< non-empty = poisoned (conflict, failed range)
 
-  ShardMerger* merger = nullptr;  ///< live during run() only (fixed mode)
-  std::string job_payload;       ///< encoded once
+  std::string job_payload;  ///< encoded once
 
-  /// Adaptive mode (request.stopping): the same stopping oracle the
-  /// session's wave loop consults, driving lease granting here — the
-  /// pending queue only ever extends to the oracle's frontier, and
-  /// completed blocks feed it under the mutex. Null for fixed runs.
-  metrics::AdaptiveController* controller = nullptr;
-  std::uint64_t lease_quantum = 0;  ///< lease sizing, for extensions
-  /// Adaptive blocks buffer here (the merged trial count is unknown
-  /// until the oracle stops); merged after the drain.
-  std::vector<SimulationResult> partials;
+  // The local fallback's workload and engine, and the accept of
+  // run_ranges(); set by ShardCoordinator::run, live during run() only.
+  const Portfolio* portfolio = nullptr;
+  const Yet* yet = nullptr;
+  const Engine* engine = nullptr;
+  const Accept* accept = nullptr;
 
   std::thread accept_thread;
   std::thread monitor_thread;
@@ -168,11 +146,20 @@ struct ShardCoordinator::Impl {
   std::vector<Reader> readers;
   std::vector<std::weak_ptr<WorkerConn>> conns;
 
-  bool complete_locked() const {
-    if (controller != nullptr) {
-      return controller->stopped() && covered == controller->frontier();
+  bool complete_locked() const { return covered == planned; }
+
+  void queue_locked(const std::vector<TrialRange>& ranges) {
+    for (const TrialRange& r : ranges) {
+      pending.emplace_back(r.begin, r.end);
+      planned += r.size();
     }
-    return covered == config.job.trial_count;
+  }
+
+  /// Poisons the run; the first failure wins.
+  void fail(std::string what) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (fatal.empty()) fatal = std::move(what);
+    cv.notify_all();
   }
 
   void requeue_locked(const Lease& lease) {
@@ -184,17 +171,16 @@ struct ShardCoordinator::Impl {
     ++counters.leases_reassigned;
   }
 
-  /// Accepts one completed range: exactly-once merge, byte-identical
-  /// duplicate discard, loud conflict. Returns false when the run is
-  /// already poisoned. Caller does NOT hold the mutex.
+  /// Accepts one completed range: exactly-once admission (a
+  /// byte-identical re-completion is discarded, a conflicting one
+  /// poisons the run), then the accept of run_ranges(). The range
+  /// counts as covered only after accept has returned and the ranges it
+  /// issued are queued, so the run cannot complete while a barrier is
+  /// still extending the frontier. Caller does NOT hold the mutex.
   void accept_block(std::uint64_t lease_id, SimulationResult partial) {
     const std::uint64_t begin = partial.trial_begin;
     const std::uint64_t end = begin + partial.ylt.trial_count();
     const std::uint32_t identity = block_identity(partial.ylt);
-    // Adaptive: the oracle's sample, reduced outside the lock (it is
-    // discarded unused when the block turns out to be a duplicate).
-    std::vector<double> sums;
-    if (controller != nullptr) sums = portfolio_trial_sums(partial.ylt);
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (!fatal.empty()) return;
@@ -215,7 +201,6 @@ struct ShardCoordinator::Impl {
         return;
       }
       done.emplace(begin, std::make_pair(end, identity));
-      covered += end - begin;
       ++counters.blocks_accepted;
       // The block may still be leased (normal completion) or already
       // reassigned and re-pending (straggler won the race): clear both.
@@ -231,33 +216,21 @@ struct ShardCoordinator::Impl {
         }
       }
       std::erase_if(pending, [&](const auto& r) { return r.first == begin; });
-
-      if (controller != nullptr) {
-        // Feed the oracle; at a wave barrier it either stops the run
-        // (complete_locked flips once covered reaches the frontier) or
-        // extends it — in lease quanta, so the grants stay uniform.
-        controller->observe(begin, sums);
-        if (controller->at_barrier()) {
-          const std::uint64_t old_frontier = controller->frontier();
-          controller->advance();
-          for (std::uint64_t b = old_frontier; b < controller->frontier();
-               b += lease_quantum) {
-            pending.emplace_back(
-                b, std::min<std::uint64_t>(b + lease_quantum,
-                                           controller->frontier()));
-          }
-        }
-        // Buffered under the lock: the merged trial count is unknown
-        // until the oracle stops, so the merge happens after the run.
-        partials.push_back(std::move(partial));
-        cv.notify_all();
-        return;
-      }
     }
-    // Merge outside the lock (row copy is O(layers x trials)); the
-    // merger serialises internally and the `done` reservation above
-    // guarantees no second merge of this range can reach here.
-    merger->add(partial);
+    // Outside the lock: run_ranges() merges and reduces the rows, and the
+    // `done` reservation above guarantees no second accept of this
+    // range can reach it.
+    std::vector<TrialRange> next;
+    try {
+      next = (*accept)(std::move(partial));
+    } catch (const std::exception& e) {
+      fail("shard [" + std::to_string(begin) + ", " + std::to_string(end) +
+           ") failed: " + e.what());
+      return;
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    queue_locked(next);
+    covered += end - begin;
     cv.notify_all();
   }
 
@@ -492,6 +465,105 @@ struct ShardCoordinator::Impl {
     }
     readers.clear();
   }
+
+  /// Leases `ranges` (and every range an accept returns) to the fleet
+  /// until all are accepted, degrading to local execution when the
+  /// fleet is gone, then lets connected workers collect their done
+  /// grant and closes the listen socket. Throws the poisoning failure.
+  void run(std::vector<TrialRange> ranges, const Accept& accept_fn) override {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      accept = &accept_fn;
+      queue_locked(ranges);
+      job_payload = encode_job(config.job);
+    }
+
+    // Workers write blocks to peers that may be gone; EPIPE must
+    // surface as an error return, not kill the process (mirrors
+    // ServeServer).
+    std::signal(SIGPIPE, SIG_IGN);
+    accept_thread = std::thread([this] { accept_loop(); });
+    monitor_thread = std::thread([this] { monitor_loop(); });
+
+    // Progress loop: wait for blocks, degrade to local execution when
+    // the fleet is gone (or never showed up within the grace window).
+    const auto started = Clock::now();
+    const auto grace =
+        std::chrono::milliseconds(config.first_worker_grace_ms);
+    for (;;) {
+      std::pair<std::uint64_t, std::uint64_t> local_range{0, 0};
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (!fatal.empty() || complete_locked()) break;
+        const bool fleet_gone =
+            active_workers == 0 &&
+            (had_worker || Clock::now() - started >= grace);
+        if (fleet_gone && !pending.empty()) {
+          while (!pending.empty() && done.count(pending.front().first) != 0) {
+            pending.pop_front();
+          }
+          if (!pending.empty()) {
+            local_range = pending.front();
+            pending.pop_front();
+            ++counters.local_shards;
+          }
+        }
+        if (local_range.second == 0) {
+          cv.wait_for(lock, std::chrono::milliseconds(20));
+          continue;
+        }
+      }
+      // Local fallback shard, executed outside the lock. Same engine,
+      // same trial range: bitwise the rows a worker would have sent.
+      EngineContext ctx;
+      ctx.trials = TrialRange{static_cast<std::size_t>(local_range.first),
+                              static_cast<std::size_t>(local_range.second)};
+      SimulationResult partial;
+      try {
+        partial = engine->run(*portfolio, *yet, ctx);
+      } catch (const std::exception& e) {
+        fail("shard [" + std::to_string(ctx.trials.begin) + ", " +
+             std::to_string(ctx.trials.end) + ") failed: " + e.what());
+        continue;
+      }
+      accept_block(/*lease_id=*/0, std::move(partial));
+    }
+
+    // Drain: let connected workers ask once more and collect kDone
+    // before the sockets vanish — tearing down immediately would strand
+    // a worker mid-request on a dead-but-listening address, where it
+    // would reconnect into the backlog and hang. Bounded: a stalled
+    // straggler must not hold the result hostage. Late duplicate blocks
+    // arriving in this window are still counted.
+    {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (fatal.empty()) {
+        const auto drain_deadline =
+            Clock::now() + std::chrono::milliseconds(std::max<std::uint64_t>(
+                               2 * config.lease_timeout_ms, 1000));
+        cv.wait_until(lock, drain_deadline,
+                      [this] { return active_workers == 0; });
+      }
+    }
+    shutdown_threads();
+    // Refuse reconnects from here on (connection refused beats hanging
+    // in a backlog nobody accepts from); the destructor tolerates the
+    // early close.
+    if (listen_fd >= 0) {
+      ::close(listen_fd);
+      listen_fd = -1;
+    }
+    if (config.endpoint.kind == serve::Endpoint::Kind::kUnix) {
+      ::unlink(config.endpoint.path.c_str());
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    accept = nullptr;
+    if (!fatal.empty()) throw std::runtime_error(fatal);
+  }
+
+  /// Blocks arrive as wire payloads without the phase breakdowns, so
+  /// even a one-lease run is merged and replayed.
+  bool partials_complete() const override { return false; }
 };
 
 // ---- ShardCoordinator ----
@@ -560,9 +632,25 @@ ShardCoordinator::~ShardCoordinator() {
 }
 
 DistResult ShardCoordinator::run(const AnalysisRequest& request) {
+  // The fleet prices the core simulation only; refuse the session's
+  // extensions before any work rather than silently dropping them.
+  if (!request.core_simulation) {
+    throw std::invalid_argument(
+        "ShardCoordinator: AnalysisRequest::core_simulation = false is not "
+        "supported — the fleet runs the core simulation");
+  }
+  if (!request.reinstatement_terms.empty()) {
+    throw std::invalid_argument(
+        "ShardCoordinator: AnalysisRequest::reinstatement_terms is not "
+        "supported — reinstatement pricing runs in the session");
+  }
+  if (request.secondary_uncertainty) {
+    throw std::invalid_argument(
+        "ShardCoordinator: AnalysisRequest::secondary_uncertainty is not "
+        "supported — workers run the job's engine");
+  }
   Impl& impl = *impl_;
   const JobSpec& job = impl.config.job;
-  perf::Stopwatch wall;
 
   // The coordinator needs the workload itself: for the local fallback,
   // the cost-only replay, and the metric labels. Same recipe as the
@@ -589,7 +677,9 @@ DistResult ShardCoordinator::run(const AnalysisRequest& request) {
   const std::unique_ptr<Engine> engine = make_engine(policy);
 
   // Lease quanta: ~2 leases per expected worker so a lost worker
-  // forfeits at most half its share, min 1 trial.
+  // forfeits at most half its share, min 1 trial. Adaptive waves are
+  // cut in the same quanta, so "a wave" and "the grants that cover it"
+  // coincide.
   std::uint64_t lease_trials = impl.config.lease_trials;
   if (lease_trials == 0) {
     const std::uint64_t target_leases =
@@ -598,200 +688,20 @@ DistResult ShardCoordinator::run(const AnalysisRequest& request) {
         1, (job.trial_count + target_leases - 1) / target_leases);
   }
 
-  // Adaptive (request.stopping): the stopping oracle drives lease
-  // granting — the pending queue is filled only to the oracle's
-  // frontier and extended at wave barriers from accept_block. Wave
-  // granularity is the lease quantum, so "a wave" and "the grants that
-  // cover it" coincide. Fixed runs keep the classic up-front fill.
-  std::optional<metrics::AdaptiveController> controller;
-  if (request.stopping) {
-    request.stopping->validate();
-    if (request.ylt_retention == YltRetention::kSpillToFile) {
-      throw std::invalid_argument(
-          "ShardCoordinator: adaptive stopping cannot spill the YLT — "
-          "the spill format is sized for the fixed trial count");
-    }
-    if (job.layer_count == 0) {
-      throw std::invalid_argument(
-          "ShardCoordinator: adaptive stopping needs at least one layer");
-    }
-    controller.emplace(*request.stopping, job.trial_count,
-                       static_cast<std::size_t>(lease_trials));
-  }
-
-  std::optional<ShardMerger> merger;
-  if (!controller) {
-    merger.emplace(job.layer_count, job.trial_count, nullptr,
-                   /*materialize=*/true);
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl.mutex);
-    impl.lease_quantum = lease_trials;
-    if (controller) {
-      impl.controller = &*controller;
-      for (std::uint64_t begin = 0; begin < controller->frontier();
-           begin += lease_trials) {
-        impl.pending.emplace_back(
-            begin, std::min<std::uint64_t>(begin + lease_trials,
-                                           controller->frontier()));
-      }
-    } else {
-      impl.merger = &*merger;
-      for (std::uint64_t begin = 0; begin < job.trial_count;
-           begin += lease_trials) {
-        impl.pending.emplace_back(
-            begin, std::min(begin + lease_trials, job.trial_count));
-      }
-    }
-    impl.job_payload = encode_job(job);
-  }
-
-  // Workers write blocks to peers that may be gone; EPIPE must surface
-  // as an error return, not kill the process (mirrors ServeServer).
-  std::signal(SIGPIPE, SIG_IGN);
-  impl.accept_thread = std::thread([&impl] { impl.accept_loop(); });
-  impl.monitor_thread = std::thread([&impl] { impl.monitor_loop(); });
-
-  // Progress loop: wait for blocks, degrade to local execution when
-  // the fleet is gone (or never showed up within the grace window).
-  const auto started = Clock::now();
-  const auto grace = std::chrono::milliseconds(
-      impl.config.first_worker_grace_ms);
-  for (;;) {
-    std::pair<std::uint64_t, std::uint64_t> local_range{0, 0};
-    {
-      std::unique_lock<std::mutex> lock(impl.mutex);
-      if (!impl.fatal.empty() || impl.complete_locked()) break;
-      const bool fleet_gone =
-          impl.active_workers == 0 &&
-          (impl.had_worker || Clock::now() - started >= grace);
-      if (fleet_gone && !impl.pending.empty()) {
-        while (!impl.pending.empty() &&
-               impl.done.count(impl.pending.front().first) != 0) {
-          impl.pending.pop_front();
-        }
-        if (!impl.pending.empty()) {
-          local_range = impl.pending.front();
-          impl.pending.pop_front();
-          ++impl.counters.local_shards;
-        }
-      }
-      if (local_range.second == 0) {
-        impl.cv.wait_for(lock, std::chrono::milliseconds(20));
-        continue;
-      }
-    }
-    // Local fallback shard, executed outside the lock. Same engine,
-    // same trial range: bitwise the rows a worker would have sent.
-    EngineContext ctx;
-    ctx.trials = TrialRange{static_cast<std::size_t>(local_range.first),
-                            static_cast<std::size_t>(local_range.second)};
-    SimulationResult partial = engine->run(portfolio, yet, ctx);
-    impl.accept_block(/*lease_id=*/0, std::move(partial));
-  }
-
-  // Drain: let connected workers ask once more and collect kDone
-  // before the sockets vanish — tearing down immediately would strand
-  // a worker mid-request on a dead-but-listening address, where it
-  // would reconnect into the backlog and hang. Bounded: a stalled
-  // straggler must not hold the result hostage. Late duplicate blocks
-  // arriving in this window are still counted.
-  {
-    std::unique_lock<std::mutex> lock(impl.mutex);
-    if (impl.fatal.empty()) {
-      const auto drain_deadline =
-          Clock::now() + std::chrono::milliseconds(std::max<std::uint64_t>(
-                             2 * impl.config.lease_timeout_ms, 1000));
-      impl.cv.wait_until(lock, drain_deadline,
-                         [&impl] { return impl.active_workers == 0; });
-    }
-  }
-  impl.shutdown_threads();
-  // Refuse reconnects from here on (connection refused beats hanging
-  // in a backlog nobody accepts from); the destructor tolerates the
-  // early close.
-  if (impl.listen_fd >= 0) {
-    ::close(impl.listen_fd);
-    impl.listen_fd = -1;
-  }
-  if (endpoint_.kind == serve::Endpoint::Kind::kUnix) {
-    ::unlink(endpoint_.path.c_str());
-  }
-  {
-    std::lock_guard<std::mutex> lock(impl.mutex);
-    if (!impl.fatal.empty()) throw std::runtime_error(impl.fatal);
-    impl.merger = nullptr;
-    impl.controller = nullptr;
-  }
-
-  // Reader threads are joined: the buffered adaptive blocks (and the
-  // oracle) are exclusively ours from here.
-  std::size_t executed = job.trial_count;
-  SimulationResult merged;
-  if (controller) {
-    executed = controller->frontier();
-    ShardMerger late(job.layer_count, executed, nullptr,
-                     /*materialize=*/true);
-    for (const SimulationResult& partial : impl.partials) late.add(partial);
-    impl.partials.clear();
-    merged = late.finish();
-  } else {
-    merged = merger->finish();
-  }
-
-  // Reconstitute the monolithic accounting bitwise, exactly as the
-  // session's sharded path does (core/session.cpp run_sharded): ops
-  // and the simulated timeline are pure functions of the workload, so
-  // a cost-only replay reports what the single-process run would have.
-  // An adaptive run replays only the executed prefix — the monolithic
-  // accounting of the run that actually happened.
-  EngineContext cost_ctx;
-  cost_ctx.cost_only = true;
-  if (controller) cost_ctx.trials = TrialRange{0, executed};
-  const SimulationResult mono = engine->run(portfolio, yet, cost_ctx);
-  merged.ops = mono.ops;
-  merged.simulated_phases = mono.simulated_phases;
-  merged.simulated_seconds = mono.simulated_seconds;
-  merged.engine_name = mono.engine_name;
-  merged.devices = mono.devices;
-  merged.simd_isa = mono.simd_isa;
-  merged.wall_seconds = wall.seconds();
-
+  AnalysisRequest local = request;
+  local.portfolio = &portfolio;
+  local.yet = &yet;
+  impl.portfolio = &portfolio;
+  impl.yet = &yet;
+  impl.engine = engine.get();
   DistResult result;
-  result.analysis.label = request.label;
+  result.analysis = run_ranges(
+      local, *engine,
+      ShardPlan{job.trial_count, static_cast<std::size_t>(lease_trials)},
+      impl);
   result.analysis.engine = *policy.engine;
-  {
-    std::lock_guard<std::mutex> lock(impl.mutex);
-    result.analysis.shard_count = impl.done.size();
-    result.counters = impl.counters;
-  }
-  result.analysis.simulation = std::move(merged);
-  result.analysis.trials_executed = executed;
-  if (controller) {
-    result.analysis.stopped_early = executed < job.trial_count;
-    result.analysis.half_widths = controller->statuses();
-  }
-
-  request.metrics.validate();
-  if (request.metrics.any() && job.layer_count > 0) {
-    result.analysis.metrics = metrics::compute_metrics(
-        result.analysis.simulation.ylt, layer_labels(portfolio),
-        request.metrics);
-  }
-  if (request.ylt_retention == YltRetention::kSpillToFile) {
-    if (request.ylt_path.empty()) {
-      throw std::invalid_argument(
-          "ShardCoordinator: kSpillToFile requires ylt_path");
-    }
-    io::YltChunkWriter writer(request.ylt_path, job.layer_count,
-                              job.trial_count);
-    writer.append(result.analysis.simulation.ylt, 0);
-    writer.close();
-    result.analysis.ylt_path = request.ylt_path;
-  }
-  if (request.ylt_retention != YltRetention::kKeep) {
-    result.analysis.simulation.ylt = Ylt();
-  }
+  std::lock_guard<std::mutex> lock(impl.mutex);
+  result.counters = impl.counters;
   return result;
 }
 

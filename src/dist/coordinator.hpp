@@ -1,10 +1,11 @@
-// ShardCoordinator: the distributing counterpart of the session's
-// run_sharded (DESIGN.md §9). It owns a listening socket, hands
-// trial-range *leases* to remote ara_worker processes, folds their
-// checksummed result blocks through the same ShardMerger the local
-// path uses, and reconstitutes the monolithic run's accounting with a
-// cost-only replay — so a distributed run is bitwise identical to the
-// single-process run, including op counts and simulated seconds.
+// ShardCoordinator: the lease-fleet RangeExecutor (DESIGN.md §9). It
+// owns a listening socket and hands trial-range *leases* to remote
+// ara_worker processes; their checksummed result blocks go through the
+// same trial-range loop as the session's shard pool
+// (core/range_executor.hpp) — merger, metric reducer, spill writer,
+// stopping oracle, cost-only replay — so a distributed run is bitwise
+// identical to the single-process run, including op counts, simulated
+// seconds and the metric report.
 //
 // Fault model (the whole point):
 //   - worker crash / disconnect  -> its open leases reassign instantly
@@ -98,11 +99,16 @@ class ShardCoordinator {
   const serve::Endpoint& endpoint() const noexcept { return endpoint_; }
 
   /// Runs the distributed analysis to completion: accepts workers,
-  /// leases out every trial, merges their blocks, degrades to local
-  /// execution if the fleet dies, and finishes with the cost-only
-  /// replay. `request` supplies the metrics plan / retention the
-  /// merged result feeds (its workload fields are ignored — the job
-  /// defines the workload). Blocking; call once.
+  /// leases out every trial (or the stopping oracle's frontier, wave
+  /// by wave), hands their blocks to the trial-range loop, and
+  /// degrades to local execution if the fleet dies. `request` supplies
+  /// the metrics plan, retention and stopping spec (its workload and
+  /// policy fields are ignored — the job defines both). Throws
+  /// std::invalid_argument before any work for a request the fleet
+  /// cannot honour: an invalid metric or stopping spec, a spill
+  /// without a path, or a session-only extension (core_simulation =
+  /// false, reinstatement_terms, secondary_uncertainty). Blocking;
+  /// call once.
   DistResult run(const AnalysisRequest& request);
 
  private:

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -25,6 +26,7 @@
 #include "core/session.hpp"
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
+#include "report_identity.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -268,6 +270,166 @@ TEST(DistCoordinator, DistributedMatchesMonolithicForEveryEngineKind) {
     EXPECT_EQ(result.counters.corrupt_blocks, 0u) << name;
     EXPECT_EQ(result.counters.torn_frames, 0u) << name;
     EXPECT_EQ(result.counters.duplicate_blocks, 0u) << name;
+  }
+}
+
+TEST(DistCoordinator, OneLeaseRunIsMergedAndReplayed) {
+  // A local one-shard run adopts its block as the result; a one-lease
+  // fleet run must not, because the block crosses the wire without its
+  // simulated phase breakdown. The replay restores it.
+  const serve::SynthSpec spec = tiny_spec();
+  DistConfig config;
+  config.endpoint = unique_endpoint("one_lease");
+  config.job = job_for(spec, EngineKind::kSequentialFused);
+  config.lease_trials = spec.trials;
+  config.lease_timeout_ms = 4000;
+  config.first_worker_grace_ms = 60000;
+  config.expected_workers = 1;
+  ShardCoordinator coordinator(config);
+  const pid_t worker = spawn_worker(coordinator.endpoint(), "one_1");
+  const DistResult result = coordinator.run(metrics_request());
+  EXPECT_EQ(reap(worker), 0);
+
+  const SimulationResult mono =
+      monolithic(spec, EngineKind::kSequentialFused);
+  EXPECT_EQ(result.counters.local_shards, 0u);
+  EXPECT_EQ(result.analysis.shard_count, 1u);
+  EXPECT_EQ(result.analysis.simulation.ylt.annual_raw(),
+            mono.ylt.annual_raw());
+  EXPECT_GT(mono.simulated_phases.total(), 0.0);
+  EXPECT_EQ(result.analysis.simulation.simulated_phases.total(),
+            mono.simulated_phases.total());
+  EXPECT_EQ(result.analysis.simulation.simulated_seconds,
+            mono.simulated_seconds);
+}
+
+// ---- adaptive: the fleet and the shard pool agree --------------------
+
+TEST(DistCoordinator, AdaptiveMatchesSessionAdaptive) {
+  // The same stopping spec, wave size and engine through the lease
+  // fleet and through the session's shard pool: the oracle sees the
+  // same per-trial sample, so both stop at the same frontier (after
+  // two frontier extensions) with the same intervals, rows, accounting
+  // and metric report.
+  serve::SynthSpec spec = tiny_spec();
+  spec.trials = 4000;
+  constexpr std::uint64_t kBlock = 200;
+  metrics::StoppingSpec stopping;
+  stopping.relative_tolerance = 0.3;
+  const serve::ServedWorkload w = serve::materialize_synth(spec);
+
+  for (const YltRetention retention :
+       {YltRetention::kKeep, YltRetention::kDiscard}) {
+    const std::string tag =
+        retention == YltRetention::kKeep ? "keep" : "discard";
+    AnalysisRequest request;
+    request.metrics = MetricsSpec::all();
+    request.ylt_retention = retention;
+    request.stopping = stopping;
+
+    DistConfig config;
+    config.endpoint = unique_endpoint("adaptive_" + tag);
+    config.job = job_for(spec, EngineKind::kSequentialFused);
+    config.lease_trials = kBlock;
+    config.lease_timeout_ms = 4000;
+    ShardCoordinator coordinator(config);
+    const pid_t w1 = spawn_worker(coordinator.endpoint(), tag + "_1");
+    const pid_t w2 = spawn_worker(coordinator.endpoint(), tag + "_2");
+    const DistResult dist = coordinator.run(request);
+    EXPECT_EQ(reap(w1), 0) << tag;
+    EXPECT_EQ(reap(w2), 0) << tag;
+
+    AnalysisRequest local = request;
+    local.portfolio = &w.portfolio;
+    local.yet = &w.yet;
+    ExecutionPolicy policy =
+        ExecutionPolicy::with_engine(EngineKind::kSequentialFused);
+    policy.shard_trials = kBlock;
+    local.policy = policy;
+    AnalysisSession session;
+    const AnalysisResult want = session.run(local);
+    const AnalysisResult& got = dist.analysis;
+
+    EXPECT_TRUE(want.stopped_early) << tag;
+    EXPECT_EQ(got.shard_count, want.shard_count) << tag;
+    EXPECT_EQ(got.trials_executed, want.trials_executed) << tag;
+    EXPECT_EQ(got.stopped_early, want.stopped_early) << tag;
+    ASSERT_EQ(got.half_widths.size(), want.half_widths.size()) << tag;
+    for (std::size_t i = 0; i < want.half_widths.size(); ++i) {
+      EXPECT_EQ(got.half_widths[i].trials, want.half_widths[i].trials);
+      EXPECT_EQ(got.half_widths[i].estimate, want.half_widths[i].estimate);
+      EXPECT_EQ(got.half_widths[i].std_error, want.half_widths[i].std_error);
+      EXPECT_EQ(got.half_widths[i].half_width,
+                want.half_widths[i].half_width);
+      EXPECT_EQ(got.half_widths[i].relative_half_width,
+                want.half_widths[i].relative_half_width);
+      EXPECT_EQ(got.half_widths[i].satisfied, want.half_widths[i].satisfied);
+    }
+    EXPECT_EQ(got.simulation.ylt.annual_raw(),
+              want.simulation.ylt.annual_raw())
+        << tag;
+    EXPECT_EQ(got.simulation.ylt.max_occurrence_raw(),
+              want.simulation.ylt.max_occurrence_raw())
+        << tag;
+    EXPECT_EQ(got.simulation.ops, want.simulation.ops) << tag;
+    EXPECT_EQ(got.simulation.simulated_seconds,
+              want.simulation.simulated_seconds)
+        << tag;
+
+    // The whole report, bitwise: with the lease size equal to the shard
+    // size, the fleet feeds the reducer the same blocks the shard pool
+    // does.
+    testdata::expect_report_identical(got.metrics, want.metrics, tag);
+  }
+}
+
+TEST(DistCoordinator, RejectsBadRequestsBeforeAnyWork) {
+  // No worker ever connects and the grace window is a minute: a request
+  // the run cannot honour must fail at once, naming the offending
+  // field, not after the coordinator has priced the workload locally.
+  struct Case {
+    std::string name;
+    std::string field;  ///< must appear in the error
+    std::function<void(AnalysisRequest&)> spoil;
+  };
+  const std::vector<Case> cases = {
+      {"quantile", "quantile",
+       [](AnalysisRequest& r) { r.metrics.quantiles = {1.5}; }},
+      {"pathless_spill", "ylt_path",
+       [](AnalysisRequest& r) {
+         r.ylt_retention = YltRetention::kSpillToFile;
+       }},
+      {"reinstatements", "reinstatement_terms",
+       [](AnalysisRequest& r) {
+         r.reinstatement_terms.assign(2, ext::ReinstatementTerms{});
+       }},
+      {"secondary", "secondary_uncertainty",
+       [](AnalysisRequest& r) {
+         r.secondary_uncertainty = ext::SecondaryUncertaintyConfig{};
+       }},
+      {"no_core", "core_simulation",
+       [](AnalysisRequest& r) { r.core_simulation = false; }},
+  };
+  for (const Case& c : cases) {
+    DistConfig config;
+    config.endpoint = unique_endpoint("reject_" + c.name);
+    config.job = job_for(tiny_spec(), EngineKind::kSequentialFused);
+    config.first_worker_grace_ms = 60000;
+    ShardCoordinator coordinator(config);
+    AnalysisRequest request = metrics_request();
+    c.spoil(request);
+
+    const auto started = std::chrono::steady_clock::now();
+    try {
+      (void)coordinator.run(request);
+      ADD_FAILURE() << c.name << ": the coordinator accepted the request";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.name << ": " << e.what();
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - started,
+              std::chrono::seconds(10))
+        << c.name;
   }
 }
 

@@ -395,17 +395,14 @@ TEST(StreamedMetrics, MetricsForLooksUpByLayerName) {
   EXPECT_EQ(result.metrics_for("no_such_layer"), nullptr);
 }
 
-// (h) Legacy shims map onto the spec exactly.
-TEST(StreamedMetrics, SelectionShimsMatchPresets) {
-  const MetricsSpec from_all =
-      MetricsSpec::from_selection(MetricsSelection::all());
-  EXPECT_TRUE(from_all.per_layer);
-  EXPECT_TRUE(from_all.portfolio);
-  EXPECT_TRUE(from_all.capital_allocation);
+// (h) The presets select their scopes.
+TEST(StreamedMetrics, PresetsSelectTheirScopes) {
+  const MetricsSpec all = MetricsSpec::all();
+  EXPECT_TRUE(all.per_layer);
+  EXPECT_TRUE(all.portfolio);
+  EXPECT_TRUE(all.capital_allocation);
 
-  const MetricsSpec from_none =
-      MetricsSpec::from_selection(MetricsSelection::none());
-  EXPECT_FALSE(from_none.any());
+  EXPECT_FALSE(MetricsSpec::none().any());
 
   EXPECT_TRUE(MetricsSpec::layer_summaries().per_layer);
   EXPECT_FALSE(MetricsSpec::layer_summaries().portfolio);

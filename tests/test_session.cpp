@@ -321,8 +321,7 @@ TEST(SessionBatch, SharedYetBatchWithExtensionsUsesTableCache) {
     r.label = "book_" + std::to_string(i);
     r.portfolio = &books[i];
     r.yet = &s.yet;
-    // Exercises the legacy-selection shim deliberately.
-    r.metrics = MetricsSpec::from_selection(MetricsSelection::all());
+    r.metrics = MetricsSpec::all();
     r.reinstatement_terms.assign(books[i].layer_count(), terms);
     requests.push_back(std::move(r));
   }
