@@ -51,7 +51,9 @@ namespace {
 // ---- The pre-fusion (layer-major) formulations ----------------------------
 
 // The old TableStore: one dense table per (layer, ELT) pair, shared
-// ELTs duplicated — rebuilt on every run.
+// ELTs duplicated — rebuilt on every run. Bound as stride-1 columns,
+// so the legacy path never reads the event-major store and its YLT is
+// an independent bitwise check of that store.
 struct LegacyTables {
   std::vector<std::vector<DirectAccessTable<double>>> per_layer;
 };
@@ -76,7 +78,7 @@ BoundLayer<double> legacy_bind(const Portfolio& p, const LegacyTables& store,
   BoundLayer<double> bound;
   bound.layer_terms = layer.terms;
   for (std::size_t j = 0; j < layer.elt_indices.size(); ++j) {
-    bound.tables.push_back(&store.per_layer[a][j]);
+    bound.tables.push_back(store.per_layer[a][j].column());
     bound.terms.push_back(p.elts()[layer.elt_indices[j]].terms());
   }
   return bound;

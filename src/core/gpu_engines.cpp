@@ -294,10 +294,12 @@ SimulationResult GpuCombinedTableEngine::run(
     const Portfolio& portfolio, const Yet& yet,
     const EngineContext& context) const {
   // Deliberately layer-major: this engine reproduces the paper's
-  // *rejected* combined-table formulation, whose per-layer row tables
-  // and cooperative loads are the point of comparison. It does not
-  // take the trial-major fusion (or the session's per-ELT table
-  // cache — it builds combined per-layer tables of its own).
+  // *rejected* combined-table formulation, whose per-layer launches
+  // and cooperative row loads are the point of comparison. It does not
+  // take the trial-major fusion. Functionally it reads the event-major
+  // store every engine shares (rows of all ELT losses per event — the
+  // combined table); only the simulated costs below model the GPU's
+  // shared-memory row staging.
   const TrialRange range = context.trials.resolve(yet.trial_count());
 
   SimulationResult result;
@@ -355,47 +357,28 @@ SimulationResult GpuCombinedTableEngine::run(
   OpCounts launch_ops = range_ops(portfolio, yet, range.begin, range.end);
   launch_ops.shared_accesses = result.ops.shared_accesses;
 
-  // Functionally: one combined table per layer; results are identical
-  // to the per-ELT tables (property-tested).
+  TableStore<double> local;
+  const TableStore<double>* tables =
+      context.cost_only
+          ? nullptr
+          : select_tables(context.tables_f64, local, portfolio);
   for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
     if (context.cost_only) {
       dev.launch_cost_only("ara_combined_layer" + std::to_string(a), launch,
                            traits, launch_ops);
       continue;
     }
-    const Layer& layer = portfolio.layers()[a];
-    const std::vector<const Elt*> elts = portfolio.layer_elts(layer);
-    const CombinedDirectTable<double> combined(elts);
-    std::vector<FinancialTerms> terms;
-    terms.reserve(elts.size());
-    for (const Elt* e : elts) terms.push_back(e->terms());
-    const LayerTerms lt = layer.terms;
-
+    const BoundLayer<double> layer = bind_layer(portfolio, *tables, a);
     dev.launch(
         "ara_combined_layer" + std::to_string(a), launch, traits,
         launch_ops, [&](const simgpu::SimDevice::ThreadCtx& ctx) {
           if (ctx.global_id() >= range.size()) return;
           const auto t = static_cast<TrialId>(range.begin + ctx.global_id());
           const auto row = static_cast<TrialId>(ctx.global_id());
-          double cumulative = 0.0, prev_capped = 0.0;
-          double annual = 0.0, max_occ = 0.0;
-          for (const EventOccurrence& occ : yet.trial(t)) {
-            // The "row" of the combined table: all ELT losses for this
-            // event are adjacent.
-            double combined_loss = 0.0;
-            for (std::size_t j = 0; j < elts.size(); ++j) {
-              combined_loss += apply_financial_terms(
-                  combined.at(occ.event, j), terms[j]);
-            }
-            const double occ_loss = apply_occurrence_terms(combined_loss, lt);
-            max_occ = std::max(max_occ, occ_loss);
-            cumulative += occ_loss;
-            const double capped = apply_aggregate_terms(cumulative, lt);
-            annual += capped - prev_capped;
-            prev_capped = capped;
-          }
-          result.ylt.annual_loss(a, row) = annual;
-          result.ylt.max_occurrence_loss(a, row) = max_occ;
+          const TrialOutcome<double> out =
+              simulate_trial_fused<double>(yet.trial(t), layer);
+          result.ylt.annual_loss(a, row) = out.annual;
+          result.ylt.max_occurrence_loss(a, row) = out.max_occurrence;
         });
   }
   dev.copy(static_cast<std::uint64_t>(portfolio.layer_count()) *

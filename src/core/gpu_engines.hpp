@@ -89,8 +89,9 @@ class MultiGpuEngine final : public Engine {
 /// collectively load from the combined ELT each thread must first
 /// write which event it needs", adding shared-memory traffic and a
 /// block synchronisation per row. This engine reproduces that variant
-/// (functionally identical results; the cost model charges the extra
-/// coordination traffic).
+/// (functionally it reads the shared event-major TableStore, which is
+/// that combined table, so results are identical; the cost model
+/// charges the extra coordination traffic).
 class GpuCombinedTableEngine final : public Engine {
  public:
   GpuCombinedTableEngine(simgpu::DeviceSpec device, EngineConfig config)

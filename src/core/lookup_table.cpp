@@ -237,35 +237,6 @@ std::size_t CuckooLossTable::memory_bytes() const {
 }
 
 // ---------------------------------------------------------------------------
-// CombinedDirectTable
-
-template <typename Real>
-CombinedDirectTable<Real>::CombinedDirectTable(
-    const std::vector<const Elt*>& elts)
-    : elt_count_(elts.size()) {
-  if (elts.empty()) {
-    throw std::invalid_argument("CombinedDirectTable: no ELTs");
-  }
-  const EventId cat = elts.front()->catalogue_size();
-  for (const Elt* e : elts) {
-    if (e == nullptr || e->catalogue_size() != cat) {
-      throw std::invalid_argument(
-          "CombinedDirectTable: ELTs must share one catalogue");
-    }
-  }
-  data_.assign((static_cast<std::size_t>(cat) + 1) * elt_count_, Real(0));
-  for (std::size_t j = 0; j < elts.size(); ++j) {
-    for (const EventLoss& r : elts[j]->records()) {
-      data_[static_cast<std::size_t>(r.event) * elt_count_ + j] =
-          static_cast<Real>(r.loss);
-    }
-  }
-}
-
-template class CombinedDirectTable<float>;
-template class CombinedDirectTable<double>;
-
-// ---------------------------------------------------------------------------
 // Factory
 
 std::unique_ptr<LossLookup> make_lookup(LookupKind kind, const Elt& elt) {

@@ -14,6 +14,14 @@
 // implements the paper's future-work item ("compressed representations
 // of data in memory").
 //
+// The engines no longer read DirectAccessTable: they read the
+// portfolio's event-major TableStore (core/trial_math.hpp), the
+// paper's "combined" table, whose row e holds event e's loss under
+// every distinct ELT. The per-ELT table stays for the reference
+// engine (the oracle builds its own, independent of the store), the
+// lookup-structure ablation, and the hot-path microbench's legacy
+// copy; both layouts are read through the same LossColumn view.
+//
 // All structures are immutable after construction and safe for
 // concurrent reads.
 #pragma once
@@ -51,12 +59,22 @@ class LossLookup {
   virtual std::string name() const = 0;
 };
 
+/// Read-only view of one loss column: `at(ev)` is `base[ev * stride]`.
+/// A column of the event-major TableStore has stride = its row width;
+/// a DirectAccessTable is a stride-1 column.
+template <typename Real>
+struct LossColumn {
+  const Real* base = nullptr;
+  std::size_t stride = 1;
+
+  Real at(EventId event) const {
+    return base[static_cast<std::size_t>(event) * stride];
+  }
+};
+
 /// Dense array over the full event catalogue; slot e holds the loss of
 /// event e (0 when absent). One random memory access per lookup.
-/// Storage is 64-byte aligned (simd::AlignedVector): the vector
-/// kernels and the next-occurrence prefetch in core/simd/ address the
-/// table as raw cache lines via data(), which must not depend on the
-/// default allocator's alignment luck.
+/// Storage is 64-byte aligned (simd::AlignedVector).
 template <typename Real>
 class DirectAccessTable final : public LossLookup {
  public:
@@ -85,10 +103,12 @@ class DirectAccessTable final : public LossLookup {
   std::size_t slots() const noexcept { return losses_.size(); }
 
   /// The dense slot array, 64-byte aligned, indexable by event id.
-  /// (Replaces the old `raw()` vector accessor.)
   std::span<const Real> data() const noexcept {
     return {losses_.data(), losses_.size()};
   }
+
+  /// The table as a stride-1 column.
+  LossColumn<Real> column() const noexcept { return {losses_.data(), 1}; }
 
  private:
   simd::AlignedVector<Real> losses_;
@@ -189,31 +209,6 @@ class CuckooLossTable final : public LossLookup {
   std::vector<Slot> t1_, t2_;
   std::size_t mask_ = 0;
   std::uint64_t salt_ = 0;
-};
-
-/// The paper's "second implementation": the k ELTs of one layer merged
-/// into a single row-major dense matrix `combined[event][elt]`. All of
-/// a given event's losses are adjacent, which is what the rejected
-/// shared-memory row-loading scheme exploited.
-template <typename Real>
-class CombinedDirectTable {
- public:
-  /// All ELTs must share the same catalogue size.
-  explicit CombinedDirectTable(const std::vector<const Elt*>& elts);
-
-  /// Loss of `event` in table `elt_index`.
-  Real at(EventId event, std::size_t elt_index) const {
-    return data_[static_cast<std::size_t>(event) * elt_count_ + elt_index];
-  }
-
-  std::size_t elt_count() const noexcept { return elt_count_; }
-  std::size_t memory_bytes() const noexcept {
-    return data_.size() * sizeof(Real);
-  }
-
- private:
-  std::vector<Real> data_;
-  std::size_t elt_count_ = 0;
 };
 
 /// Factory for the polymorphic structures, used by benchmarks.

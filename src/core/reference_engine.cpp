@@ -1,6 +1,7 @@
 #include "core/reference_engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -10,6 +11,44 @@
 #include "perf/stopwatch.hpp"
 
 namespace ara {
+
+namespace {
+
+// The oracle's own tables: one stride-1 DirectAccessTable per ELT the
+// portfolio references, built from the ELT records. Reading these
+// instead of the shared event-major store keeps the oracle independent
+// of build_tables, so a wrong column map there cannot be repeated here.
+class OwnTables {
+ public:
+  explicit OwnTables(const Portfolio& portfolio)
+      : portfolio_(portfolio), tables_(portfolio.elt_count()) {
+    for (const Layer& layer : portfolio.layers()) {
+      for (const std::size_t idx : layer.elt_indices) {
+        if (!tables_[idx]) {
+          tables_[idx] = std::make_unique<DirectAccessTable<double>>(
+              portfolio.elts()[idx]);
+        }
+      }
+    }
+  }
+
+  BoundLayer<double> bind(std::size_t layer_index) const {
+    const Layer& layer = portfolio_.layers()[layer_index];
+    BoundLayer<double> bound;
+    bound.layer_terms = layer.terms;
+    for (const std::size_t idx : layer.elt_indices) {
+      bound.tables.push_back(tables_[idx]->column());
+      bound.terms.push_back(portfolio_.elts()[idx].terms());
+    }
+    return bound;
+  }
+
+ private:
+  const Portfolio& portfolio_;
+  std::vector<std::unique_ptr<DirectAccessTable<double>>> tables_;
+};
+
+}  // namespace
 
 SimulationResult ReferenceEngine::run(const Portfolio& portfolio,
                                       const Yet& yet,
@@ -34,9 +73,7 @@ SimulationResult ReferenceEngine::run(const Portfolio& portfolio,
     result.simulated_seconds = result.simulated_phases.total();
     return result;
   }
-  TableStore<double> local;
-  const TableStore<double>& tables =
-      *select_tables(context.tables_f64, local, portfolio);
+  const OwnTables tables(portfolio);
   result.ylt = Ylt(portfolio.layer_count(), range.size());
 
   // Per-trial scratch arrays, sized to the largest trial: x (ground-up
@@ -59,7 +96,7 @@ SimulationResult ReferenceEngine::run(const Portfolio& portfolio,
 
   // Line 2: for all a in L
   for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
-    const BoundLayer<double> layer = bind_layer(portfolio, tables, a);
+    const BoundLayer<double> layer = tables.bind(a);
     const auto& lt = layer.layer_terms;
     // Line 3: for all b in YET (this run's trial range)
     for (std::size_t b = range.begin; b < range.end; ++b) {
@@ -73,7 +110,7 @@ SimulationResult ReferenceEngine::run(const Portfolio& portfolio,
       for (std::size_t c = 0; c < layer.elt_count(); ++c) {
         // Lines 5-7: look up each event of the trial in ELT c.
         for (std::size_t d = 0; d < k; ++d) {
-          x[d] = layer.tables[c]->at(trial[d].event);
+          x[d] = layer.tables[c].at(trial[d].event);
         }
         charge(perf::Phase::kLossLookup);
         // Lines 8-10: apply the ELT's financial terms.

@@ -1,7 +1,10 @@
 // ReferenceEngine: literal transcription of the paper's Algorithm 1
 // (lines 1-32) in double precision — the sequential CPU implementation
 // whose 337.47 s headline anchors every speed-up in the paper, and the
-// correctness oracle for every other engine in this library.
+// correctness oracle for every other engine in this library. To stay
+// independent of the engines it checks, it builds its own per-ELT
+// direct access tables from the ELT records and ignores the shared
+// event-major store in EngineContext::tables_*.
 #pragma once
 
 #include "core/engine.hpp"

@@ -59,6 +59,7 @@ BoundPortfolio<Real> bind_portfolio(const Portfolio& portfolio,
   bp.elt_begin.reserve(bp.layers + 1);
   bp.elt_end.reserve(bp.layers);
 
+  bp.row_stride = store.width;
   bp.elt_begin.push_back(0);
   for (std::size_t a = 0; a < bp.layers; ++a) {
     const Layer& layer = portfolio.layers()[a];
@@ -67,7 +68,7 @@ BoundPortfolio<Real> bind_portfolio(const Portfolio& portfolio,
       const FinancialTerms& t =
           portfolio.elts()[layer.elt_indices[j]].terms();
       const Real share = static_cast<Real>(t.share);
-      bp.table_base.push_back(store.per_layer[a][j]->data().data());
+      bp.table_base.push_back(store.data() + store.per_layer[a][j]);
       bp.fx.push_back(static_cast<Real>(t.fx_rate));
       bp.retention.push_back(static_cast<Real>(t.retention));
       bp.limit.push_back(static_cast<Real>(t.limit));
@@ -77,9 +78,9 @@ BoundPortfolio<Real> bind_portfolio(const Portfolio& portfolio,
       bp.limit_share.push_back(static_cast<Real>(t.limit) * share);
     }
     bp.elt_end.push_back(static_cast<std::uint32_t>(bp.table_base.size()));
-    // Zero-term padding slots: they load a real table line (the
-    // layer's first — always resident anyway) but every parameter is
-    // 0, so the clamp chain yields exactly +0.0 per padded lane.
+    // Zero-term padding slots: they load the layer's first column
+    // (a line of the row being read anyway) but every parameter is 0,
+    // so the clamp chain yields exactly +0.0 per padded lane.
     if (count > 0) {
       const Real* base = bp.table_base[bp.elt_begin[a]];
       for (std::size_t j = count; j < pad_elts(count); ++j) {
@@ -110,19 +111,9 @@ BoundPortfolio<Real> bind_portfolio(const Portfolio& portfolio,
     bp.agg_limit[a] = static_cast<Real>(t.agg_limit);
   }
 
-  // Prefetch list: the distinct tables, only when the working set is
-  // big enough that next-occurrence lines plausibly miss cache.
-  std::size_t distinct_bytes = 0;
-  for (const auto& table : store.tables) {
-    distinct_bytes += table.slots() * sizeof(Real);
-  }
-  if (distinct_bytes >= kPrefetchMinTableBytes) {
-    const std::size_t n =
-        std::min(store.tables.size(), kMaxPrefetchTables);
-    bp.prefetch_tables.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      bp.prefetch_tables.push_back(store.tables[i].data().data());
-    }
+  // Prefetch only when upcoming rows plausibly miss cache.
+  if (store.bytes() >= kPrefetchMinTableBytes) {
+    bp.prefetch_rows = store.data();
   }
   return bp;
 }

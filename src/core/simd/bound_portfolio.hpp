@@ -6,9 +6,13 @@
 // and keeps the per-layer running state in an array of structs. The
 // BoundPortfolio here flattens all of it:
 //
-//   * one contiguous array of direct-access-table base pointers over
-//     every (layer, ELT) slot, in layer order (`elt_begin` delimits
-//     layers),
+//   * one contiguous array of column base pointers into the
+//     event-major TableStore over every (layer, ELT) slot, in layer
+//     order (`elt_begin` delimits layers): slot j's loss for event ev
+//     is table_base[j][ev * row_stride]. One base pointer per slot,
+//     not a row pointer plus a column index: the scalar kernel's
+//     per-slot loop then auto-vectorizes (two lanes, in-order sum, so
+//     still bitwise), which a row[col[j]] gather defeats,
 //   * the financial-terms parameters pre-cast to the working precision
 //     and split into four parallel arrays (fx / retention / limit /
 //     share), so the per-ELT term application is a straight-line sweep
@@ -66,14 +70,15 @@ inline constexpr std::size_t kLayerPad = 8;
 /// loops run the padded range with no scalar tail.
 inline constexpr std::size_t kEltPad = 8;
 
-/// Tables are only worth prefetching when the distinct working set
-/// plausibly misses cache; below this total the prefetch list stays
-/// empty and the kernels skip the instructions entirely.
+/// Rows are only worth prefetching when the table plausibly misses
+/// cache; below this size `prefetch_rows` stays null and the kernels
+/// skip the instructions entirely.
 inline constexpr std::size_t kPrefetchMinTableBytes = std::size_t{2} << 20;
 
-/// At most this many distinct table lines are prefetched per upcoming
-/// occurrence (beyond that the requests saturate the fill buffers).
-inline constexpr std::size_t kMaxPrefetchTables = 16;
+/// The sweep prefetches the row of the occurrence this many positions
+/// ahead (and the first window's rows at trial start). Measured on the
+/// paper's 229 MiB shape, 8 ahead beat 1, 4 and 16 (DESIGN.md §8).
+inline constexpr std::size_t kPrefetchWindow = 8;
 
 template <typename Real>
 struct BoundPortfolio {
@@ -84,7 +89,8 @@ struct BoundPortfolio {
   // [elt_begin[a], elt_end[a]); the padded run the vector kernels
   // sweep is [elt_begin[a], elt_begin[a + 1]) — a multiple of kEltPad
   // wide, zero-term slots after elt_end[a].
-  std::vector<const Real*> table_base;  ///< dense table base pointers
+  std::vector<const Real*> table_base;  ///< column base pointers
+  std::size_t row_stride = 0;           ///< slots per event-major row
   AlignedVector<Real> fx;               ///< financial terms, pre-cast
   AlignedVector<Real> retention;
   AlignedVector<Real> limit;
@@ -103,10 +109,10 @@ struct BoundPortfolio {
   AlignedVector<Real> agg_retention;
   AlignedVector<Real> agg_limit;
 
-  /// Distinct table bases for next-occurrence software prefetch.
-  /// Empty when the working set is cache-resident (see
-  /// kPrefetchMinTableBytes) — the kernels then skip prefetching.
-  std::vector<const Real*> prefetch_tables;
+  /// Base of the event-major rows for software prefetch; null when
+  /// the table is cache-resident (see kPrefetchMinTableBytes) — the
+  /// kernels then skip prefetching.
+  const Real* prefetch_rows = nullptr;
 
   std::size_t elt_slot_count() const noexcept { return table_base.size(); }
 };
@@ -131,8 +137,8 @@ struct PortfolioTrialState {
   void reset() noexcept;
 };
 
-/// Binds `portfolio` against the store's dense tables (which must have
-/// been built from the same portfolio). The returned structure holds
+/// Binds `portfolio` against the store's event-major rows (which must
+/// have been built from the same portfolio). The returned structure holds
 /// raw pointers into `store`; the store must outlive it.
 template <typename Real>
 BoundPortfolio<Real> bind_portfolio(const Portfolio& portfolio,

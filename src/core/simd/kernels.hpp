@@ -2,10 +2,11 @@
 //
 // A SweepKernel is a pair of function pointers selected once per run
 // (never per event): `sweep` evaluates one whole trial — reset, every
-// occurrence, software prefetch of the next occurrence's table lines —
-// and is what the CPU engines drive; `apply` applies a single
-// occurrence with no reset, which is the shape the chunk-staged GPU
-// kernel needs (it owns the trial loop and the staging buffer).
+// occurrence, software prefetch of the event-major row kPrefetchWindow
+// occurrences ahead — and is what the CPU engines drive; `apply`
+// applies a single occurrence with no reset, which is the shape the
+// chunk-staged GPU kernel needs (it owns the trial loop and the
+// staging buffer).
 //
 // Determinism contracts (DESIGN.md §8):
 //   * SimdPolicy::kScalar — the exact operand sequence of

@@ -13,9 +13,9 @@
 //   phase 1 — per layer, the ELT slots are combined with aligned
 //     vector loads of the folded SoA term arrays (share multiplied
 //     through at bind time — one fewer load and multiply per slot)
-//     and scalar loads of the table values (indices are the same
-//     event on different base pointers; a gather buys nothing on
-//     dense tables and is opaque to the sanitizers). The layer's slot
+//     and scalar loads of the table values (the same row offset on
+//     different column base pointers; a gather buys nothing there and
+//     is opaque to the sanitizers). The layer's slot
 //     run is padded to kEltPad with zero-term slots, so the loop has
 //     no scalar remainder; the 4/8 partial sums are reduced
 //     low-lane-first — the fixed order that makes runs reproducible.
@@ -34,31 +34,20 @@
 namespace ara::simd {
 namespace {
 
-inline void prefetch_next_f64(const BoundPortfolio<double>& bp,
-                              EventId next_ev) {
-  for (const double* base : bp.prefetch_tables) {
-    _mm_prefetch(reinterpret_cast<const char*>(base + next_ev), _MM_HINT_T1);
-  }
-}
-inline void prefetch_next_f32(const BoundPortfolio<float>& bp,
-                              EventId next_ev) {
-  for (const float* base : bp.prefetch_tables) {
-    _mm_prefetch(reinterpret_cast<const char*>(base + next_ev), _MM_HINT_T1);
-  }
-}
-
 // ---- f64: 4 lanes ----------------------------------------------------------
 
 // `jb`/`je` delimit the padded slot run (both multiples of kEltPad),
 // so every iteration is a full vector and the term loads are aligned.
-inline double combine_elts_f64(const BoundPortfolio<double>& bp, EventId ev,
-                               std::uint32_t jb, std::uint32_t je) {
+// `row` is the event's row offset into every slot's column.
+inline double combine_elts_f64(const BoundPortfolio<double>& bp,
+                               std::size_t row, std::uint32_t jb,
+                               std::uint32_t je) {
   const __m256d zero = _mm256_setzero_pd();
   __m256d acc = zero;
   for (std::uint32_t j = jb; j < je; j += 4) {
     const __m256d loss =
-        _mm256_set_pd(bp.table_base[j + 3][ev], bp.table_base[j + 2][ev],
-                      bp.table_base[j + 1][ev], bp.table_base[j][ev]);
+        _mm256_set_pd(bp.table_base[j + 3][row], bp.table_base[j + 2][row],
+                      bp.table_base[j + 1][row], bp.table_base[j][row]);
     __m256d x =
         _mm256_sub_pd(_mm256_mul_pd(loss, _mm256_load_pd(&bp.fx_share[j])),
                       _mm256_load_pd(&bp.retention_share[j]));
@@ -73,9 +62,10 @@ inline double combine_elts_f64(const BoundPortfolio<double>& bp, EventId ev,
 
 void apply_event_f64(const BoundPortfolio<double>& bp, EventId ev,
                      PortfolioTrialState<double>& st) {
+  const std::size_t row = row_of(bp, ev);
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
-        combine_elts_f64(bp, ev, bp.elt_begin[a], bp.elt_begin[a + 1]);
+        combine_elts_f64(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
   }
   const __m256d zero = _mm256_setzero_pd();
   for (std::size_t a = 0; a < bp.padded_layers; a += 4) {
@@ -104,6 +94,7 @@ void sweep_f64(const BoundPortfolio<double>& bp,
                PortfolioTrialState<double>& st) {
   st.reset();
   const std::size_t n = trial.size();
+  prefetch_first_rows(bp, trial);
   if (bp.layers == 1) {
     // Single-layer fast path: vector ELT combine, scalar running state
     // in locals (the across-layer phase would be 1 live lane of 4).
@@ -114,8 +105,9 @@ void sweep_f64(const BoundPortfolio<double>& bp,
     const double agg_lim = bp.agg_limit[0];
     double cumulative = 0.0, prev_capped = 0.0, annual = 0.0, max_occ = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) prefetch_next_f64(bp, trial[i + 1].event);
-      const double combined = combine_elts_f64(bp, trial[i].event, 0, je);
+      prefetch_ahead(bp, trial, i);
+      const double combined =
+          combine_elts_f64(bp, row_of(bp, trial[i].event), 0, je);
       double y = combined - occ_ret;
       if (y < 0.0) y = 0.0;
       if (y > occ_lim) y = occ_lim;
@@ -134,23 +126,24 @@ void sweep_f64(const BoundPortfolio<double>& bp,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) prefetch_next_f64(bp, trial[i + 1].event);
+    prefetch_ahead(bp, trial, i);
     apply_event_f64(bp, trial[i].event, st);
   }
 }
 
 // ---- f32: 8 lanes ----------------------------------------------------------
 
-inline float combine_elts_f32(const BoundPortfolio<float>& bp, EventId ev,
-                              std::uint32_t jb, std::uint32_t je) {
+inline float combine_elts_f32(const BoundPortfolio<float>& bp,
+                              std::size_t row, std::uint32_t jb,
+                              std::uint32_t je) {
   const __m256 zero = _mm256_setzero_ps();
   __m256 acc = zero;
   for (std::uint32_t j = jb; j < je; j += 8) {
     const __m256 loss = _mm256_set_ps(
-        bp.table_base[j + 7][ev], bp.table_base[j + 6][ev],
-        bp.table_base[j + 5][ev], bp.table_base[j + 4][ev],
-        bp.table_base[j + 3][ev], bp.table_base[j + 2][ev],
-        bp.table_base[j + 1][ev], bp.table_base[j][ev]);
+        bp.table_base[j + 7][row], bp.table_base[j + 6][row],
+        bp.table_base[j + 5][row], bp.table_base[j + 4][row],
+        bp.table_base[j + 3][row], bp.table_base[j + 2][row],
+        bp.table_base[j + 1][row], bp.table_base[j][row]);
     __m256 x =
         _mm256_sub_ps(_mm256_mul_ps(loss, _mm256_load_ps(&bp.fx_share[j])),
                       _mm256_load_ps(&bp.retention_share[j]));
@@ -168,9 +161,10 @@ inline float combine_elts_f32(const BoundPortfolio<float>& bp, EventId ev,
 
 void apply_event_f32(const BoundPortfolio<float>& bp, EventId ev,
                      PortfolioTrialState<float>& st) {
+  const std::size_t row = row_of(bp, ev);
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
-        combine_elts_f32(bp, ev, bp.elt_begin[a], bp.elt_begin[a + 1]);
+        combine_elts_f32(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
   }
   const __m256 zero = _mm256_setzero_ps();
   for (std::size_t a = 0; a < bp.padded_layers; a += 8) {
@@ -198,6 +192,7 @@ void sweep_f32(const BoundPortfolio<float>& bp,
                PortfolioTrialState<float>& st) {
   st.reset();
   const std::size_t n = trial.size();
+  prefetch_first_rows(bp, trial);
   if (bp.layers == 1) {
     const std::uint32_t je = bp.elt_begin[1];
     const float occ_ret = bp.occ_retention[0];
@@ -207,8 +202,9 @@ void sweep_f32(const BoundPortfolio<float>& bp,
     float cumulative = 0.0f, prev_capped = 0.0f, annual = 0.0f,
           max_occ = 0.0f;
     for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) prefetch_next_f32(bp, trial[i + 1].event);
-      const float combined = combine_elts_f32(bp, trial[i].event, 0, je);
+      prefetch_ahead(bp, trial, i);
+      const float combined =
+          combine_elts_f32(bp, row_of(bp, trial[i].event), 0, je);
       float y = combined - occ_ret;
       if (y < 0.0f) y = 0.0f;
       if (y > occ_lim) y = occ_lim;
@@ -227,7 +223,7 @@ void sweep_f32(const BoundPortfolio<float>& bp,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) prefetch_next_f32(bp, trial[i + 1].event);
+    prefetch_ahead(bp, trial, i);
     apply_event_f32(bp, trial[i].event, st);
   }
 }

@@ -18,24 +18,19 @@
 namespace ara::simd {
 namespace {
 
-template <typename Real>
-inline void prefetch_next(const BoundPortfolio<Real>& bp, EventId next_ev) {
-  for (const Real* base : bp.prefetch_tables) {
-    __builtin_prefetch(base + next_ev, /*rw=*/0, /*locality=*/1);
-  }
-}
-
 // ---- f64: 2 lanes ----------------------------------------------------------
 
 // `jb`/`je` delimit the padded slot run (multiples of kEltPad): every
-// iteration is a full vector over the folded term arrays.
-inline double combine_elts_f64(const BoundPortfolio<double>& bp, EventId ev,
-                               std::uint32_t jb, std::uint32_t je) {
+// iteration is a full vector over the folded term arrays. `row` is the
+// event's row offset into every slot's column.
+inline double combine_elts_f64(const BoundPortfolio<double>& bp,
+                               std::size_t row, std::uint32_t jb,
+                               std::uint32_t je) {
   const float64x2_t zero = vdupq_n_f64(0.0);
   float64x2_t acc = zero;
   for (std::uint32_t j = jb; j < je; j += 2) {
-    double lane0 = bp.table_base[j][ev];
-    double lane1 = bp.table_base[j + 1][ev];
+    double lane0 = bp.table_base[j][row];
+    double lane1 = bp.table_base[j + 1][row];
     float64x2_t loss = vsetq_lane_f64(lane1, vdupq_n_f64(lane0), 1);
     float64x2_t x =
         vsubq_f64(vmulq_f64(loss, vld1q_f64(&bp.fx_share[j])),
@@ -49,9 +44,10 @@ inline double combine_elts_f64(const BoundPortfolio<double>& bp, EventId ev,
 
 void apply_event_f64(const BoundPortfolio<double>& bp, EventId ev,
                      PortfolioTrialState<double>& st) {
+  const std::size_t row = row_of(bp, ev);
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
-        combine_elts_f64(bp, ev, bp.elt_begin[a], bp.elt_begin[a + 1]);
+        combine_elts_f64(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
   }
   const float64x2_t zero = vdupq_n_f64(0.0);
   for (std::size_t a = 0; a < bp.padded_layers; a += 2) {
@@ -75,15 +71,16 @@ void apply_event_f64(const BoundPortfolio<double>& bp, EventId ev,
 
 // ---- f32: 4 lanes ----------------------------------------------------------
 
-inline float combine_elts_f32(const BoundPortfolio<float>& bp, EventId ev,
-                              std::uint32_t jb, std::uint32_t je) {
+inline float combine_elts_f32(const BoundPortfolio<float>& bp,
+                              std::size_t row, std::uint32_t jb,
+                              std::uint32_t je) {
   const float32x4_t zero = vdupq_n_f32(0.0f);
   float32x4_t acc = zero;
   for (std::uint32_t j = jb; j < je; j += 4) {
-    float32x4_t loss = vdupq_n_f32(bp.table_base[j][ev]);
-    loss = vsetq_lane_f32(bp.table_base[j + 1][ev], loss, 1);
-    loss = vsetq_lane_f32(bp.table_base[j + 2][ev], loss, 2);
-    loss = vsetq_lane_f32(bp.table_base[j + 3][ev], loss, 3);
+    float32x4_t loss = vdupq_n_f32(bp.table_base[j][row]);
+    loss = vsetq_lane_f32(bp.table_base[j + 1][row], loss, 1);
+    loss = vsetq_lane_f32(bp.table_base[j + 2][row], loss, 2);
+    loss = vsetq_lane_f32(bp.table_base[j + 3][row], loss, 3);
     float32x4_t x = vsubq_f32(vmulq_f32(loss, vld1q_f32(&bp.fx_share[j])),
                               vld1q_f32(&bp.retention_share[j]));
     x = vmaxq_f32(x, zero);
@@ -97,9 +94,10 @@ inline float combine_elts_f32(const BoundPortfolio<float>& bp, EventId ev,
 
 void apply_event_f32(const BoundPortfolio<float>& bp, EventId ev,
                      PortfolioTrialState<float>& st) {
+  const std::size_t row = row_of(bp, ev);
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
-        combine_elts_f32(bp, ev, bp.elt_begin[a], bp.elt_begin[a + 1]);
+        combine_elts_f32(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
   }
   const float32x4_t zero = vdupq_n_f32(0.0f);
   for (std::size_t a = 0; a < bp.padded_layers; a += 4) {
@@ -128,6 +126,7 @@ void sweep_impl(const BoundPortfolio<Real>& bp,
                 CombineFn combine) {
   st.reset();
   const std::size_t n = trial.size();
+  prefetch_first_rows(bp, trial);
   if (bp.layers == 1) {
     const std::uint32_t je = bp.elt_begin[1];
     const Real occ_ret = bp.occ_retention[0];
@@ -137,8 +136,8 @@ void sweep_impl(const BoundPortfolio<Real>& bp,
     Real cumulative = Real(0), prev_capped = Real(0);
     Real annual = Real(0), max_occ = Real(0);
     for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) prefetch_next(bp, trial[i + 1].event);
-      const Real combined = combine(bp, trial[i].event, 0, je);
+      prefetch_ahead(bp, trial, i);
+      const Real combined = combine(bp, row_of(bp, trial[i].event), 0, je);
       Real y = combined - occ_ret;
       if (y < Real(0)) y = Real(0);
       if (y > occ_lim) y = occ_lim;
@@ -157,7 +156,7 @@ void sweep_impl(const BoundPortfolio<Real>& bp,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) prefetch_next(bp, trial[i + 1].event);
+    prefetch_ahead(bp, trial, i);
     apply(bp, trial[i].event, st);
   }
 }

@@ -12,7 +12,7 @@
 // operations, same order — this is the few_layers_many_trials
 // regression fix: the compiler could not keep state in registers
 // through the generic layer-indexed loop), and software prefetch of
-// the next occurrence's table lines touches no architectural state.
+// upcoming occurrences' rows touches no architectural state.
 #include <cstddef>
 
 #include "core/simd/kernel_entries.hpp"
@@ -20,12 +20,15 @@
 namespace ara::simd {
 namespace {
 
+// `row` is the event's row offset (ev * row_stride) into every
+// slot's column.
 template <typename Real>
-inline Real combine_layer_elts(const BoundPortfolio<Real>& bp, EventId ev,
-                               std::uint32_t jb, std::uint32_t je) {
+inline Real combine_layer_elts(const BoundPortfolio<Real>& bp,
+                               std::size_t row, std::uint32_t jb,
+                               std::uint32_t je) {
   Real combined = Real(0);
   for (std::uint32_t j = jb; j < je; ++j) {
-    Real x = bp.table_base[j][ev] * bp.fx[j] - bp.retention[j];
+    Real x = bp.table_base[j][row] * bp.fx[j] - bp.retention[j];
     if (x < Real(0)) x = Real(0);
     if (x > bp.limit[j]) x = bp.limit[j];
     combined += x * bp.share[j];
@@ -36,11 +39,12 @@ inline Real combine_layer_elts(const BoundPortfolio<Real>& bp, EventId ev,
 template <typename Real>
 inline void apply_event_impl(const BoundPortfolio<Real>& bp, EventId ev,
                              PortfolioTrialState<Real>& st) {
+  const std::size_t row = row_of(bp, ev);
   for (std::size_t a = 0; a < bp.layers; ++a) {
     // Real slots only (elt_end): the zero-term padding slots exist for
     // the vector kernels' remainder-free loops.
     const Real combined =
-        combine_layer_elts(bp, ev, bp.elt_begin[a], bp.elt_end[a]);
+        combine_layer_elts(bp, row, bp.elt_begin[a], bp.elt_end[a]);
     Real y = combined - bp.occ_retention[a];
     if (y < Real(0)) y = Real(0);
     if (y > bp.occ_limit[a]) y = bp.occ_limit[a];
@@ -55,18 +59,12 @@ inline void apply_event_impl(const BoundPortfolio<Real>& bp, EventId ev,
 }
 
 template <typename Real>
-inline void prefetch_next(const BoundPortfolio<Real>& bp, EventId next_ev) {
-  for (const Real* base : bp.prefetch_tables) {
-    __builtin_prefetch(base + next_ev, /*rw=*/0, /*locality=*/1);
-  }
-}
-
-template <typename Real>
 void sweep_impl(const BoundPortfolio<Real>& bp,
                 std::span<const EventOccurrence> trial,
                 PortfolioTrialState<Real>& st) {
   st.reset();
   const std::size_t n = trial.size();
+  prefetch_first_rows(bp, trial);
 
   if (bp.layers == 1) {
     // Single-layer fast path: running state in locals.
@@ -78,8 +76,9 @@ void sweep_impl(const BoundPortfolio<Real>& bp,
     Real cumulative = Real(0), prev_capped = Real(0);
     Real annual = Real(0), max_occ = Real(0);
     for (std::size_t i = 0; i < n; ++i) {
-      if (i + 1 < n) prefetch_next(bp, trial[i + 1].event);
-      const Real combined = combine_layer_elts(bp, trial[i].event, 0, je);
+      prefetch_ahead(bp, trial, i);
+      const Real combined =
+          combine_layer_elts(bp, row_of(bp, trial[i].event), 0, je);
       Real y = combined - occ_ret;
       if (y < Real(0)) y = Real(0);
       if (y > occ_lim) y = occ_lim;
@@ -99,7 +98,7 @@ void sweep_impl(const BoundPortfolio<Real>& bp,
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (i + 1 < n) prefetch_next(bp, trial[i + 1].event);
+    prefetch_ahead(bp, trial, i);
     apply_event_impl(bp, trial[i].event, st);
   }
 }

@@ -29,6 +29,7 @@
 #include "core/layer.hpp"
 #include "core/layer_terms.hpp"
 #include "core/lookup_table.hpp"
+#include "core/simd/aligned.hpp"
 #include "core/types.hpp"
 
 namespace ara {
@@ -42,41 +43,43 @@ struct TrialOutcome {
   Real max_occurrence = Real(0);
 };
 
-/// One layer's tables, bound to precision `Real`: a direct access
-/// table plus financial terms per covered ELT.
+/// One layer's tables, bound to precision `Real`: a loss column plus
+/// financial terms per covered ELT. The columns are strided views of
+/// the event-major TableStore (or, in the reference engine, stride-1
+/// views of its own per-ELT tables).
 template <typename Real>
 struct BoundLayer {
-  std::vector<const DirectAccessTable<Real>*> tables;
+  std::vector<LossColumn<Real>> tables;
   std::vector<FinancialTerms> terms;
   LayerTerms layer_terms;
 
   std::size_t elt_count() const noexcept { return tables.size(); }
 };
 
-/// Direct access tables for a portfolio in precision `Real`. Layers
-/// may share ELTs (the paper's portfolios do), so the store owns one
-/// table per *distinct* referenced ELT and `per_layer` holds views:
-/// building a book of 30 layers over a shared 40-ELT pool constructs
-/// 40 dense tables, not up to 900. `tables` is sized exactly once, so
-/// the `per_layer` pointers stay valid for the store's lifetime and
-/// survive moves (vector storage is stable under move) — the store is
-/// cheap to move into a session-level cache.
+/// The portfolio's loss table in precision `Real`, event-major: row e
+/// holds event e's loss under every distinct referenced ELT, side by
+/// side in first-reference order, so one occurrence reads one row (2-3
+/// adjacent cache lines on one page) instead of one line of a separate
+/// dense table per ELT (DESIGN.md §4). Layers may share ELTs, so the
+/// row width is the number of *distinct* ELTs and `per_layer[a][j]` is
+/// the column of layer a's j-th ELT: a book of 30 layers over a shared
+/// 40-ELT pool has 40 columns, not up to 900. Rows are not padded. The
+/// store owns its rows (simd::TableArray), so it is move-only and a
+/// move keeps every view of them valid — it is cheap to move into a
+/// session-level cache.
 template <typename Real>
 struct TableStore {
-  std::vector<DirectAccessTable<Real>> tables;  ///< one per distinct ELT
-  std::vector<std::vector<const DirectAccessTable<Real>*>> per_layer;
+  simd::TableArray<Real> rows;  ///< events x width slots, row-major
+  std::size_t width = 0;        ///< distinct ELTs = columns = row stride
+  std::size_t events = 0;       ///< rows: catalogue size + 1
+  std::vector<std::vector<std::size_t>> per_layer;  ///< column indices
 
-  TableStore() = default;
-  // Copying would deep-copy `tables` but leave `per_layer` viewing the
-  // *source* store — a dangling trap. Moves keep the views valid
-  // (vector storage is stable under move), so the store is move-only.
-  TableStore(const TableStore&) = delete;
-  TableStore& operator=(const TableStore&) = delete;
-  TableStore(TableStore&&) noexcept = default;
-  TableStore& operator=(TableStore&&) noexcept = default;
-
-  /// Number of dense tables actually materialised.
-  std::size_t distinct_table_count() const noexcept { return tables.size(); }
+  std::size_t slots() const noexcept { return width * events; }
+  std::size_t bytes() const noexcept { return slots() * sizeof(Real); }
+  const Real* data() const noexcept { return rows.get(); }
+  LossColumn<Real> column(std::size_t c) const noexcept {
+    return {rows.get() + c, width};
+  }
 };
 
 template <typename Real>
@@ -84,32 +87,33 @@ TableStore<Real> build_tables(const Portfolio& portfolio) {
   constexpr std::size_t kUnreferenced = static_cast<std::size_t>(-1);
   TableStore<Real> store;
 
-  // First pass: assign each distinct referenced ELT a slot (in first-
-  // reference order), so `tables` can be reserved exactly once.
-  std::vector<std::size_t> slot(portfolio.elt_count(), kUnreferenced);
-  std::vector<std::size_t> slot_to_elt;
-  for (const Layer& layer : portfolio.layers()) {
-    for (const std::size_t idx : layer.elt_indices) {
-      if (slot[idx] == kUnreferenced) {
-        slot[idx] = slot_to_elt.size();
-        slot_to_elt.push_back(idx);
-      }
-    }
-  }
-
-  store.tables.reserve(slot_to_elt.size());
-  for (const std::size_t idx : slot_to_elt) {
-    store.tables.emplace_back(portfolio.elts()[idx]);
-  }
-
+  // Each distinct referenced ELT gets a column, in first-reference
+  // order.
+  std::vector<std::size_t> column(portfolio.elt_count(), kUnreferenced);
+  std::vector<std::size_t> column_elt;
   store.per_layer.reserve(portfolio.layer_count());
   for (const Layer& layer : portfolio.layers()) {
-    std::vector<const DirectAccessTable<Real>*> views;
-    views.reserve(layer.elt_indices.size());
+    std::vector<std::size_t> columns;
+    columns.reserve(layer.elt_indices.size());
     for (const std::size_t idx : layer.elt_indices) {
-      views.push_back(&store.tables[slot[idx]]);
+      if (column[idx] == kUnreferenced) {
+        column[idx] = column_elt.size();
+        column_elt.push_back(idx);
+      }
+      columns.push_back(column[idx]);
     }
-    store.per_layer.push_back(std::move(views));
+    store.per_layer.push_back(std::move(columns));
+  }
+
+  store.width = column_elt.size();
+  store.events = static_cast<std::size_t>(portfolio.catalogue_size()) + 1;
+  store.rows = simd::make_table_array<Real>(store.slots());
+  Real* rows = store.rows.get();
+  for (std::size_t c = 0; c < store.width; ++c) {
+    for (const EventLoss& r : portfolio.elts()[column_elt[c]].records()) {
+      rows[static_cast<std::size_t>(r.event) * store.width + c] =
+          static_cast<Real>(r.loss);
+    }
   }
   return store;
 }
@@ -124,7 +128,7 @@ BoundLayer<Real> bind_layer(const Portfolio& portfolio,
   bound.tables.reserve(layer.elt_indices.size());
   bound.terms.reserve(layer.elt_indices.size());
   for (std::size_t j = 0; j < layer.elt_indices.size(); ++j) {
-    bound.tables.push_back(store.per_layer[layer_index][j]);
+    bound.tables.push_back(store.column(store.per_layer[layer_index][j]));
     bound.terms.push_back(portfolio.elts()[layer.elt_indices[j]].terms());
   }
   return bound;
@@ -178,7 +182,7 @@ inline void apply_event_to_layer(EventId ev, const BoundLayer<Real>& layer,
   Real combined = Real(0);
   const std::size_t elts = layer.elt_count();
   for (std::size_t j = 0; j < elts; ++j) {
-    combined += apply_financial_terms(layer.tables[j]->at(ev), layer.terms[j]);
+    combined += apply_financial_terms(layer.tables[j].at(ev), layer.terms[j]);
   }
   const Real occ_loss = apply_occurrence_terms(combined, layer.layer_terms);
   if (occ_loss > s.out.max_occurrence) s.out.max_occurrence = occ_loss;

@@ -1,6 +1,7 @@
 #include "dist/coordinator.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -394,7 +395,7 @@ struct ShardCoordinator::Impl final : RangeExecutor {
       }
       if ((fds[1].revents & POLLIN) != 0 || stopping.load()) return;
       if ((fds[0].revents & POLLIN) == 0) continue;
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
       if (fd < 0) {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         return;
@@ -576,12 +577,12 @@ ShardCoordinator::ShardCoordinator(DistConfig config)
     throw std::invalid_argument(
         "ShardCoordinator: job needs trial_count and layer_count");
   }
-  if (::pipe(impl_->stop_pipe) != 0) throw_errno("pipe");
+  if (::pipe2(impl_->stop_pipe, O_CLOEXEC) != 0) throw_errno("pipe2");
   // Bind + listen now so run() can hand the resolved endpoint to
   // workers spawned before it starts. Reuses the serve server's socket
   // recipe (poll + self-pipe; see serve/server.cpp).
   if (endpoint_.kind == serve::Endpoint::Kind::kUnix) {
-    impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    impl_->listen_fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (impl_->listen_fd < 0) throw_errno("socket(AF_UNIX)");
     ::unlink(endpoint_.path.c_str());
     sockaddr_un addr{};
@@ -593,7 +594,7 @@ ShardCoordinator::ShardCoordinator(DistConfig config)
       throw_errno("bind(" + endpoint_.describe() + ")");
     }
   } else {
-    impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    impl_->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (impl_->listen_fd < 0) throw_errno("socket(AF_INET)");
     const int one = 1;
     ::setsockopt(impl_->listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,

@@ -114,7 +114,7 @@ ReinstatementResult ReinstatementEngine::run(
       for (const EventOccurrence& occ : trial) {
         double combined = 0.0;
         for (std::size_t j = 0; j < layer.elt_count(); ++j) {
-          combined += apply_financial_terms(layer.tables[j]->at(occ.event),
+          combined += apply_financial_terms(layer.tables[j].at(occ.event),
                                             layer.terms[j]);
         }
         occ_losses.push_back(combined);

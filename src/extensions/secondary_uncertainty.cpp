@@ -60,7 +60,7 @@ SimulationResult SecondaryUncertaintyEngine::run(
       for (const EventOccurrence& occ : trial) {
         double combined = 0.0;
         for (std::size_t j = 0; j < layer.elt_count(); ++j) {
-          const double ground = layer.tables[j]->at(occ.event);
+          const double ground = layer.tables[j].at(occ.event);
           if (ground == 0.0) continue;  // no draw for uncovered events
           const double multiplier = damage.sample(rng) / mean_beta;
           combined +=

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <csignal>
+#include <fcntl.h>
 #include <cstdlib>
 #include <cstring>
 #include <netinet/in.h>
@@ -81,7 +82,7 @@ namespace {
 
 int connect_endpoint(const Endpoint& ep) {
   if (ep.kind == Endpoint::Kind::kUnix) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0) throw_errno("socket(AF_UNIX)");
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
@@ -94,7 +95,7 @@ int connect_endpoint(const Endpoint& ep) {
     }
     return fd;
   }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) throw_errno("socket(AF_INET)");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -140,10 +141,10 @@ void ServeServer::Connection::send(const ServeReply& reply) {
 
 ServeServer::ServeServer(AnalysisService& service, const Endpoint& endpoint)
     : service_(service), endpoint_(endpoint) {
-  if (::pipe(stop_pipe_) != 0) throw_errno("pipe");
+  if (::pipe2(stop_pipe_, O_CLOEXEC) != 0) throw_errno("pipe2");
 
   if (endpoint_.kind == Endpoint::Kind::kUnix) {
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw_errno("socket(AF_UNIX)");
     ::unlink(endpoint_.path.c_str());  // stale socket from a prior run
     sockaddr_un addr{};
@@ -155,7 +156,7 @@ ServeServer::ServeServer(AnalysisService& service, const Endpoint& endpoint)
       throw_errno("bind(" + endpoint_.describe() + ")");
     }
   } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listen_fd_ < 0) throw_errno("socket(AF_INET)");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -229,7 +230,7 @@ void ServeServer::accept_loop() {
     }
     if ((fds[1].revents & POLLIN) != 0 || stopping_.load()) return;
     if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       return;

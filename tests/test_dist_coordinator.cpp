@@ -8,15 +8,19 @@
 // is discarded and counted, a conflicting one poisons the run loudly.
 #include "dist/coordinator.hpp"
 
+#include <dirent.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -27,6 +31,7 @@
 #include "dist/protocol.hpp"
 #include "dist/worker.hpp"
 #include "report_identity.hpp"
+#include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -596,6 +601,55 @@ TEST(DistCoordinator, ConflictingRecompletionPoisonsTheRunLoudly) {
         << what;
     EXPECT_NE(what.find("[0, 120)"), std::string::npos) << what;
   }
+}
+
+// The process's open descriptors, less the one listing them.
+std::set<int> open_fds() {
+  std::set<int> fds;
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return fds;
+  const int listing = ::dirfd(dir);
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] == '.') continue;
+    const int fd = std::atoi(entry->d_name);
+    if (fd != listing) fds.insert(fd);
+  }
+  ::closedir(dir);
+  return fds;
+}
+
+// Every socket and pipe the coordinator, the serve server and a
+// connected client open is close-on-exec, so an ara_worker forked
+// beside them inherits none (a worker holding the coordinator's listen
+// socket would keep its backlog alive after the coordinator is gone).
+TEST(CloseOnExec, CoordinatorServerAndClientDescriptors) {
+  const std::set<int> before = open_fds();
+  ASSERT_FALSE(before.empty()) << "/proc/self/fd unreadable";
+
+  DistConfig config;
+  config.endpoint = unique_endpoint("cloexec");
+  config.job = job_for(tiny_spec(), EngineKind::kSequentialFused);
+  ShardCoordinator coordinator(config);
+  serve::AnalysisService service;
+  serve::ServeServer server(service, unique_endpoint("cloexec_serve"));
+  server.start();
+  serve::ClientTransport client(server.endpoint());
+  for (int i = 0; i < 400 && server.connections_accepted() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.connections_accepted(), 1u);
+
+  std::size_t opened = 0;
+  for (const int fd : open_fds()) {
+    if (before.count(fd) != 0) continue;
+    ++opened;
+    const int flags = ::fcntl(fd, F_GETFD);
+    ASSERT_GE(flags, 0) << "fd " << fd;
+    EXPECT_NE(flags & FD_CLOEXEC, 0) << "fd " << fd << " is inherited by exec";
+  }
+  // Coordinator: listen socket + stop pipe; server: listen socket +
+  // stop pipe + accepted connection; client: its socket.
+  EXPECT_GE(opened, 8u);
 }
 
 }  // namespace

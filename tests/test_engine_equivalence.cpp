@@ -9,6 +9,7 @@
 
 #include "core/engine_factory.hpp"
 #include "core/reference_engine.hpp"
+#include "core/trial_math.hpp"
 #include "synth/scenarios.hpp"
 
 namespace ara {
@@ -192,6 +193,41 @@ TEST(TrialMajorFusion, FusedEnginesChargeSingleYetPass) {
     EXPECT_EQ(got.ops.occurrence_ops, ref.ops.occurrence_ops)
         << engine_kind_name(kind);
   }
+}
+
+// The oracle must not share the engines' table layout: a store with
+// one wrong cell, passed through the context, changes what the fused
+// engine computes but not what the reference computes — otherwise a
+// wrong column map in build_tables would be repeated by the oracle
+// every equivalence wall compares against.
+TEST(OracleIndependence, ReferenceIgnoresTheSharedStore) {
+  std::vector<Elt> elts;
+  elts.emplace_back(std::vector<EventLoss>{{1, 10.0}, {3, 30.0}},
+                    FinancialTerms::identity(), 5);
+  elts.emplace_back(std::vector<EventLoss>{{3, 300.0}, {5, 500.0}},
+                    FinancialTerms::identity(), 5);
+  const Portfolio portfolio(std::move(elts),
+                            {Layer{"L", {1, 0}, LayerTerms::identity()}});
+  const Yet yet({{{3, 1}, {5, 2}}, {{1, 1}}}, 5);
+
+  TableStore<double> store = build_tables<double>(portfolio);
+  const std::size_t column = store.per_layer[0][0];  // ELT 1
+  store.rows[3 * store.width + column] += 1000.0;    // event 3, hit in trial 0
+  EngineContext context;
+  context.tables_f64 = &store;
+
+  const ReferenceEngine reference;
+  const SimulationResult want = reference.run(portfolio, yet);
+  EXPECT_EQ(want.ylt.annual_loss(0, 0), 830.0);
+  EXPECT_EQ(reference.run(portfolio, yet, context).ylt.annual_raw(),
+            want.ylt.annual_raw());
+
+  const auto fused = make_engine(
+      ExecutionPolicy::with_engine(EngineKind::kSequentialFused));
+  EXPECT_EQ(fused->run(portfolio, yet).ylt.annual_raw(), want.ylt.annual_raw());
+  const SimulationResult altered = fused->run(portfolio, yet, context);
+  EXPECT_EQ(altered.ylt.annual_loss(0, 0), 1830.0);
+  EXPECT_EQ(altered.ylt.annual_loss(0, 1), want.ylt.annual_loss(0, 1));
 }
 
 TEST(EngineFactory, AllKindsConstruct) {

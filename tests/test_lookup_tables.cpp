@@ -92,26 +92,6 @@ TEST(CompressedLossTable, UsesFarLessMemoryThanDirect) {
   EXPECT_LT(compressed.memory_bytes() * 10, direct.memory_bytes());
 }
 
-TEST(CombinedDirectTable, MatchesPerEltTables) {
-  const Elt a = random_elt(800, 60, 8);
-  const Elt b = random_elt(800, 60, 9);
-  const Elt c = random_elt(800, 60, 10);
-  const CombinedDirectTable<double> combined({&a, &b, &c});
-  ASSERT_EQ(combined.elt_count(), 3u);
-  for (EventId e = 1; e <= 800; ++e) {
-    EXPECT_DOUBLE_EQ(combined.at(e, 0), a.lookup(e));
-    EXPECT_DOUBLE_EQ(combined.at(e, 1), b.lookup(e));
-    EXPECT_DOUBLE_EQ(combined.at(e, 2), c.lookup(e));
-  }
-}
-
-TEST(CombinedDirectTable, RejectsMismatchedCatalogues) {
-  const Elt a = random_elt(800, 10, 11);
-  const Elt b = random_elt(900, 10, 12);
-  EXPECT_THROW((CombinedDirectTable<double>({&a, &b})), std::invalid_argument);
-  EXPECT_THROW((CombinedDirectTable<double>({})), std::invalid_argument);
-}
-
 // Property: every lookup structure agrees with the canonical ELT on
 // present keys, absent keys, and boundary ids.
 class LookupAgreementProperty : public ::testing::TestWithParam<LookupKind> {};

@@ -306,5 +306,108 @@ TEST(SimdRemainderLanes, AllSmallShapesMatchLegacy) {
   }
 }
 
+// --- prefetch window edges ------------------------------------------
+
+// Trials of 0, 1, 7, 8 and 9 occurrences bracket the row-prefetch
+// window (kPrefetchWindow = 8): nothing to prefetch, a window shorter
+// than the trial, exactly one window, and one row beyond it. The
+// catalogue's last event id reads the table's last row, at the start,
+// end and just-past-the-window positions. The table is at least
+// kPrefetchMinTableBytes in both precisions, so prefetch is live; one-
+// and two-layer books cover the single-layer fast path and the general
+// loop.
+constexpr EventId kEdgeCatalogue = 200000;
+
+Portfolio edge_portfolio(std::size_t layers) {
+  std::vector<Elt> elts;
+  for (std::size_t k = 0; k < 3; ++k) {
+    std::vector<EventLoss> records;
+    for (EventId e = 1; e <= kEdgeCatalogue; ++e) {
+      if (e % (k + 2) == 0 || e == kEdgeCatalogue) {
+        records.push_back(
+            {e, 100.0 + static_cast<double>(e % 997) * (k + 1) + 0.125});
+      }
+    }
+    FinancialTerms ft;
+    ft.retention = 40.0 * static_cast<double>(k);
+    ft.limit = 1500.0 + 500.0 * static_cast<double>(k);
+    ft.share = 0.9 - 0.2 * static_cast<double>(k);
+    elts.emplace_back(std::move(records), ft, kEdgeCatalogue);
+  }
+  LayerTerms capped;
+  capped.occ_retention = 200.0;
+  capped.agg_limit = 9000.0;
+  std::vector<Layer> book = {Layer{"all", {0, 1, 2}, LayerTerms::identity()}};
+  if (layers > 1) book.push_back(Layer{"capped", {2, 0}, capped});
+  return Portfolio(std::move(elts), std::move(book));
+}
+
+Yet edge_yet() {
+  constexpr EventId kLast = kEdgeCatalogue;
+  std::vector<std::vector<EventOccurrence>> trials;
+  for (const std::size_t n : {0, 1, 7, 8, 9, 9, 17}) {
+    std::vector<EventOccurrence> trial;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto e = static_cast<EventId>(
+          1 + (i * 7919 + trials.size() * 104729) % (kLast - 1));
+      trial.push_back({e, static_cast<Timestamp>(i)});
+    }
+    trials.push_back(std::move(trial));
+  }
+  trials[1][0].event = kLast;  // the only occurrence
+  trials[2][6].event = kLast;  // last of a short trial
+  trials[3][0].event = kLast;  // first of one exact window
+  trials[4][8].event = kLast;  // the first row prefetched ahead
+  trials[5][7].event = kLast;
+  trials[5][8].event = kLast;
+  return Yet(trials, kLast);
+}
+
+template <typename Real>
+Ylt sweep_ylt(const simd::SweepKernel<Real>& kernel,
+              const simd::BoundPortfolio<Real>& bp, const Yet& yet) {
+  simd::PortfolioTrialState<Real> state(bp);
+  Ylt ylt(bp.layers, yet.trial_count());
+  for (TrialId t = 0; t < yet.trial_count(); ++t) {
+    kernel.sweep(bp, yet.trial(t), state);
+    for (std::size_t a = 0; a < bp.layers; ++a) {
+      ylt.annual_loss(a, t) = static_cast<double>(state.annual[a]);
+      ylt.max_occurrence_loss(a, t) =
+          static_cast<double>(state.max_occurrence[a]);
+    }
+  }
+  return ylt;
+}
+
+template <typename Real>
+void expect_window_edges_match_legacy(std::size_t layers, double rel) {
+  const Portfolio portfolio = edge_portfolio(layers);
+  const Yet yet = edge_yet();
+  const std::string what = std::to_string(layers) + "L/" +
+                           (sizeof(Real) == 4 ? "f32" : "f64");
+  const TableStore<Real> store = build_tables<Real>(portfolio);
+  ASSERT_GE(store.bytes(), simd::kPrefetchMinTableBytes) << what;
+  const simd::BoundPortfolio<Real> bp = simd::bind_portfolio(portfolio, store);
+  ASSERT_NE(bp.prefetch_rows, nullptr) << what;
+
+  const Ylt expect = legacy_ylt<Real>(portfolio, yet);
+  // The last event id has a loss in every ELT, so a trial that reads
+  // it cannot come out 0 by accident.
+  ASSERT_GT(expect.annual_loss(0, 1), 0.0) << what;
+  expect_bitwise(
+      sweep_ylt(simd::select_kernel<Real>(simd::SimdPolicy::kScalar), bp, yet),
+      expect, what + "/scalar");
+  expect_close(
+      sweep_ylt(simd::select_kernel<Real>(simd::SimdPolicy::kAuto), bp, yet),
+      expect, rel, what + "/auto");
+}
+
+TEST(SimdPrefetchWindow, TrialLengthsAroundWindowMatchLegacy) {
+  for (const std::size_t layers : {1, 2}) {
+    expect_window_edges_match_legacy<double>(layers, 1e-9);
+    expect_window_edges_match_legacy<float>(layers, 1e-5);
+  }
+}
+
 }  // namespace
 }  // namespace ara

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace ara {
@@ -109,8 +110,8 @@ TEST(TrialMath, BoundLayerResolvesLayerOrder) {
   Fixture f(LayerTerms::identity());
   const BoundLayer<double> layer = bind_layer(f.portfolio, f.tables, 0);
   EXPECT_EQ(layer.elt_count(), 2u);
-  EXPECT_DOUBLE_EQ(layer.tables[0]->at(1), 100.0);
-  EXPECT_DOUBLE_EQ(layer.tables[1]->at(4), 400.0);
+  EXPECT_DOUBLE_EQ(layer.tables[0].at(1), 100.0);
+  EXPECT_DOUBLE_EQ(layer.tables[1].at(4), 400.0);
 }
 
 TEST(TrialMath, TableStorePerLayerShapes) {
@@ -128,7 +129,7 @@ TEST(TrialMath, TableStorePerLayerShapes) {
   EXPECT_EQ(store.per_layer[1].size(), 2u);
 }
 
-// Layers sharing an ELT must share one dense table, not build one per
+// Layers sharing an ELT must share one column, not get one per
 // (layer, ELT) pair — the per-run allocation churn the session cache
 // exists to amortise.
 TEST(TrialMath, TableStoreDeduplicatesSharedElts) {
@@ -144,22 +145,122 @@ TEST(TrialMath, TableStoreDeduplicatesSharedElts) {
                Layer{"b", {1, 0}, LayerTerms::identity()},
                Layer{"c", {0, 1}, LayerTerms::identity()}});
   const TableStore<double> store = build_tables<double>(p);
-  // ELT 2 is unreferenced; only two tables materialise for 6 views.
-  EXPECT_EQ(store.distinct_table_count(), 2u);
-  EXPECT_EQ(store.per_layer[0][0], store.per_layer[1][1]);  // both ELT 0
-  EXPECT_EQ(store.per_layer[0][1], store.per_layer[1][0]);  // both ELT 1
-  EXPECT_EQ(store.per_layer[0][0], store.per_layer[2][0]);
-  EXPECT_DOUBLE_EQ(store.per_layer[1][0]->at(2), 2.0);
+  // ELT 2 is unreferenced; only two columns materialise for 6 slots,
+  // numbered in first-reference order.
+  EXPECT_EQ(store.width, 2u);
+  const std::vector<std::vector<std::size_t>> want = {{0, 1}, {1, 0}, {0, 1}};
+  EXPECT_EQ(store.per_layer, want);
+  EXPECT_DOUBLE_EQ(store.column(store.per_layer[1][0]).at(2), 2.0);
+  EXPECT_DOUBLE_EQ(store.column(store.per_layer[1][1]).at(1), 1.0);
 }
 
-// A moved-from-into store keeps its per_layer views valid (the session
-// cache moves stores into unique_ptr-held slots).
+// A moved-from-into store keeps its rows, and every view of them, valid
+// (the session cache moves stores into shared_ptr-held slots).
 TEST(TrialMath, TableStoreSurvivesMove) {
   Fixture f(LayerTerms::identity());
   TableStore<double> store = build_tables<double>(f.portfolio);
+  const double* rows = store.data();
+  const BoundLayer<double> layer = bind_layer(f.portfolio, store, 0);
   const TableStore<double> moved = std::move(store);
-  EXPECT_DOUBLE_EQ(moved.per_layer[0][0]->at(1), 100.0);
-  EXPECT_DOUBLE_EQ(moved.per_layer[0][1]->at(4), 400.0);
+  EXPECT_EQ(moved.data(), rows);
+  EXPECT_EQ(store.data(), nullptr);
+  EXPECT_DOUBLE_EQ(moved.column(moved.per_layer[0][0]).at(1), 100.0);
+  EXPECT_DOUBLE_EQ(moved.column(moved.per_layer[0][1]).at(4), 400.0);
+  EXPECT_DOUBLE_EQ(layer.tables[1].at(2), 50.0);
+}
+
+// Three ELTs referenced out of index order by two layers, one ELT
+// shared: columns follow first reference (ELT 2, 0, 1), and every
+// record of every ELT sits at (event, column), in both precisions.
+Portfolio scattered_portfolio() {
+  constexpr EventId kCatalogue = 97;
+  std::vector<Elt> elts;
+  for (EventId k = 0; k < 3; ++k) {
+    std::vector<EventLoss> records;
+    for (EventId e = 1; e <= kCatalogue; ++e) {
+      if ((e + k) % (3 + k) == 0 || e == kCatalogue) {
+        records.push_back({e, 1000.0 * (k + 1) + e + 0.25});
+      }
+    }
+    elts.emplace_back(std::move(records), FinancialTerms::identity(),
+                      kCatalogue);
+  }
+  return Portfolio(std::move(elts),
+                   {Layer{"a", {2, 0}, LayerTerms::identity()},
+                    Layer{"b", {1, 2}, LayerTerms::identity()}});
+}
+
+template <typename Real>
+void expect_every_record_at_its_cell(const Portfolio& p) {
+  const TableStore<Real> store = build_tables<Real>(p);
+  const std::vector<std::vector<std::size_t>> want = {{0, 1}, {2, 0}};
+  ASSERT_EQ(store.per_layer, want);
+  ASSERT_EQ(store.width, 3u);
+  ASSERT_EQ(store.events, static_cast<std::size_t>(p.catalogue_size()) + 1);
+  ASSERT_EQ(store.slots(), 3u * (p.catalogue_size() + 1u));
+  const std::size_t column_of_elt[] = {1, 2, 0};
+  for (std::size_t k = 0; k < p.elt_count(); ++k) {
+    const Elt& elt = p.elts()[k];
+    const std::size_t c = column_of_elt[k];
+    for (const EventLoss& r : elt.records()) {
+      EXPECT_EQ(store.data()[r.event * store.width + c],
+                static_cast<Real>(r.loss))
+          << "ELT " << k << " event " << r.event;
+    }
+    // Every event, present or absent (0), through the column view.
+    for (EventId e = 0; e <= p.catalogue_size(); ++e) {
+      EXPECT_EQ(store.column(c).at(e), static_cast<Real>(elt.lookup(e)))
+          << "ELT " << k << " event " << e;
+    }
+  }
+}
+
+TEST(TrialMath, EventMajorRowsHoldEveryRecordAtItsColumn) {
+  const Portfolio p = scattered_portfolio();
+  expect_every_record_at_its_cell<double>(p);
+  expect_every_record_at_its_cell<float>(p);
+}
+
+TEST(TrialMath, EventAbsentFromEltReadsZero) {
+  Fixture f(LayerTerms::identity());
+  const BoundLayer<double> layer = bind_layer(f.portfolio, f.tables, 0);
+  EXPECT_EQ(layer.tables[0].at(4), 0.0);   // only in ELT 1
+  EXPECT_EQ(layer.tables[1].at(1), 0.0);   // only in ELT 0
+  EXPECT_EQ(layer.tables[0].at(0), 0.0);   // the unused id-0 row
+  EXPECT_EQ(layer.tables[1].at(10), 0.0);  // last catalogue event
+}
+
+// Just over simd::kHugePageMinBytes: the rows start on a 2 MiB
+// boundary (the huge-page allocation) and still hold the right values.
+TEST(TrialMath, LargeTableIsHugePageAligned) {
+  constexpr EventId kCatalogue = EventId{1} << 22;  // 2 x (4Mi + 1) x 8 B
+  std::vector<Elt> elts;
+  elts.emplace_back(std::vector<EventLoss>{{1, 11.0}, {kCatalogue, 12.0}},
+                    FinancialTerms::identity(), kCatalogue);
+  elts.emplace_back(std::vector<EventLoss>{{2, 21.0}, {kCatalogue, 22.0}},
+                    FinancialTerms::identity(), kCatalogue);
+  const Portfolio p(std::move(elts),
+                    {Layer{"L", {0, 1}, LayerTerms::identity()}});
+  const TableStore<double> store = build_tables<double>(p);
+  ASSERT_GT(store.bytes(), simd::kHugePageMinBytes);
+  ASSERT_LT(store.bytes(), simd::kHugePageMinBytes + 64);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(store.data()) %
+                simd::kHugePageBytes,
+            0u);
+  EXPECT_EQ(store.column(0).at(1), 11.0);
+  EXPECT_EQ(store.column(0).at(2), 0.0);
+  EXPECT_EQ(store.column(1).at(2), 21.0);
+  EXPECT_EQ(store.column(0).at(kCatalogue), 12.0);
+  EXPECT_EQ(store.column(1).at(kCatalogue), 22.0);
+  EXPECT_EQ(store.column(1).at(kCatalogue - 1), 0.0);
+}
+
+// Below the huge-page line the rows are cache-line aligned.
+TEST(TrialMath, SmallTableIsCacheLineAligned) {
+  Fixture f(LayerTerms::identity());
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(f.tables.data()) %
+                simd::kCacheLineBytes,
+            0u);
 }
 
 // The tentpole property: the trial-major multilayer sweep must be

@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -171,8 +172,8 @@ int main(int argc, char** argv) {
       service.register_dataset(name, std::move(workload));
     }
 
-    if (::pipe(g_signal_pipe) != 0) {
-      std::cerr << "error: pipe failed\n";
+    if (::pipe2(g_signal_pipe, O_CLOEXEC) != 0) {
+      std::cerr << "error: pipe2 failed\n";
       return 1;
     }
     std::signal(SIGTERM, on_signal);
