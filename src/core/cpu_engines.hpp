@@ -3,7 +3,8 @@
 // thread pool — one software thread per trial batch, exactly the
 // paper's "single thread per trial" granularity).
 //
-// Both run the trial-major fused sweep (`simulate_trial_multilayer`):
+// Both run the trial-major fused sweep (the dispatched
+// `simd::SweepKernel::sweep` over `simd::bind_portfolio`'s binding):
 // the YET is streamed once for all layers instead of once per layer,
 // which is where the aggregate-risk hot loop's memory-access economy
 // lives once portfolios have more than one contract (DESIGN.md §4).

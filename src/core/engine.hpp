@@ -107,10 +107,10 @@ struct EngineConfig {
   bool chunking = true;           ///< optimised kernel: shared-mem chunking
 
   // Hot-path vectorization (core/simd/, DESIGN.md §8). kScalar is the
-  // bitwise-reference mode — results identical to the pre-SIMD
-  // engines — and the default; kAuto dispatches the widest kernel the
-  // build + host support. ExecutionPolicy carries the authoritative
-  // copy; resolved_config() writes it through to here.
+  // bitwise-reference mode — results identical to ReferenceEngine's
+  // four-pass loop — and the default; kAuto dispatches the widest
+  // kernel the build + host support. ExecutionPolicy carries the
+  // authoritative copy; resolved_config() writes it through to here.
   simd::SimdPolicy simd = simd::SimdPolicy::kScalar;
   unsigned simd_width = 0;        ///< kForceWidth: required lanes (0 = widest)
 

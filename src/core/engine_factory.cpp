@@ -41,6 +41,17 @@ std::optional<EngineKind> engine_kind_from_name(const std::string& name) {
 
 EngineConfig resolved_config(const ExecutionPolicy& policy, EngineKind kind) {
   EngineConfig cfg = policy.config ? *policy.config : paper_config(kind);
+  // A zero launch shape has no meaning: block_threads divides the grid
+  // size, and a zero chunk leaves the chunked kernel nothing to stage
+  // (no memory-level parallelism, an infinite simulated time).
+  if (cfg.block_threads == 0) {
+    throw std::invalid_argument(
+        "EngineConfig::block_threads must be > 0 (got 0)");
+  }
+  if (cfg.chunking && cfg.chunk_size == 0) {
+    throw std::invalid_argument(
+        "EngineConfig::chunk_size must be > 0 when chunking is on (got 0)");
+  }
   // The policy's SIMD knob is authoritative over the embedded config's
   // copy (the config field exists only because engines are constructed
   // from EngineConfig alone).

@@ -73,9 +73,9 @@ struct ExecutionPolicy {
   /// Hot-path SIMD mode (DESIGN.md §8). Authoritative: resolved_config
   /// copies these over whatever `config` holds, so one policy field
   /// controls every engine kind the policy may resolve to. kScalar
-  /// (the default) is guaranteed bit-identical to the pre-SIMD
-  /// engines; kAuto opts into the vector kernels' own determinism
-  /// contract (reproducible run-to-run, last-ulp vs scalar).
+  /// (the default) is guaranteed bit-identical to ReferenceEngine's
+  /// four-pass loop; kAuto opts into the vector kernels' own
+  /// determinism contract (reproducible run-to-run, last-ulp vs scalar).
   simd::SimdPolicy simd = simd::SimdPolicy::kScalar;
   unsigned simd_width = 0;  ///< kForceWidth: required lanes (0 = widest)
 
@@ -99,6 +99,11 @@ struct ExecutionPolicy {
 
 /// The EngineConfig a policy resolves to for `kind`: the policy's own
 /// config if set, otherwise the paper's configuration for that kind.
+/// Throws std::invalid_argument naming the field for a zero launch
+/// shape: block_threads == 0, or chunk_size == 0 with chunking on.
+/// make_engine and the kAuto cost prediction both resolve through
+/// here, so neither can reach a division by zero or an infinite
+/// simulated time.
 EngineConfig resolved_config(const ExecutionPolicy& policy, EngineKind kind);
 
 /// Builds the engine a policy describes. The policy must name a

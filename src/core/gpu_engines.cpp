@@ -1,12 +1,12 @@
 #include "core/gpu_engines.hpp"
 
 #include <algorithm>
-#include <array>
 #include <string>
 #include <vector>
 
 #include "core/simd/bound_portfolio.hpp"
 #include "core/simd/kernels.hpp"
+#include "core/simd/steps.hpp"
 #include "core/trial_math.hpp"
 #include "parallel/partition.hpp"
 #include "perf/stopwatch.hpp"
@@ -41,14 +41,16 @@ namespace {
 // Runs the optimised kernel for global trials [begin, end) on `dev`,
 // writing into `out` at local rows (trial - out_base); out_base is the
 // global index of out's first row (0 for a full run). One fused
-// multi-layer launch per device: the kernel stages chunk_size events
-// at a time (the paper's chunking), then performs the fused term math
-// for *every* layer on the staged events before loading the next chunk
-// — the YET slice crosses the memory system once instead of once per
-// layer. Per-layer results are identical to simulate_trial_fused (same
-// operand order). With cost_only the same alloc/copy/launch sequence
-// is charged to the simulated timeline without executing the kernel
-// (tables may be an empty store).
+// multi-layer launch per device: each thread walks its trial once and
+// updates every layer, so the YET slice crosses the memory system once
+// instead of once per layer. The paper's chunking (staging chunk_size
+// events through shared memory), register scratch and unrolling are
+// memory-traffic optimisations that never change a result: the
+// simulator charges them through KernelTraits, and the functional pass
+// is the dispatched sweep whatever the launch shape. With cost_only
+// the same alloc/copy/launch sequence is charged to the simulated
+// timeline without executing the kernel (tables may be an empty
+// store).
 template <typename Real>
 void run_optimized_on_device(simgpu::SimDevice& dev, const Portfolio& p,
                              const Yet& yet, const TableStore<Real>& tables,
@@ -98,43 +100,21 @@ void run_optimized_on_device(simgpu::SimDevice& dev, const Portfolio& p,
   if (cost_only) {
     dev.launch_cost_only("ara_optimized_multilayer", launch, traits, ops);
   } else {
-    // The per-event work is the dispatched SoA kernel's `apply` entry
-    // (no reset, no trial loop — the chunk staging below owns those):
-    // scalar in the bitwise-reference mode, vectorized under kAuto.
+    // The per-trial work is the dispatched SoA kernel: scalar in the
+    // bitwise-reference mode, vectorized under kAuto.
     const simd::SweepKernel<Real> kernel =
         simd::select_kernel<Real>(cfg.simd, cfg.simd_width);
     const simd::BoundPortfolio<Real> bp = simd::bind_portfolio(p, tables);
     // Running state; SimDevice executes the functor thread by thread
     // on this host thread, so one buffer serves the whole launch.
     simd::PortfolioTrialState<Real> state(bp);
-
-    // The functional staging buffer is 512 entries; clamp the chunk so
-    // a stage is always written before it is consumed.
-    const unsigned chunk = std::clamp(cfg.chunk_size, 1u, 512u);
     dev.launch(
         "ara_optimized_multilayer", launch, traits, ops,
         [&](const simgpu::SimDevice::ThreadCtx& ctx) {
           if (ctx.global_id() >= trials) return;  // guard threads past range
           const TrialId t = static_cast<TrialId>(begin + ctx.global_id());
           const auto row = static_cast<TrialId>(t - out_base);
-          const auto trial = yet.trial(t);
-
-          // Chunked processing: stage `chunk` occurrences once, then
-          // apply the fused financial/occurrence/aggregate math for
-          // every layer. State that survives across chunks is exactly
-          // what the real kernel keeps in registers, per layer.
-          state.reset();
-          std::array<EventId, 512> stage;  // shared-memory stand-in
-          const std::size_t k = trial.size();
-          for (std::size_t base = 0; base < k; base += chunk) {
-            const std::size_t n = std::min<std::size_t>(chunk, k - base);
-            for (std::size_t i = 0; i < n; ++i) {
-              stage[i % stage.size()] = trial[base + i].event;
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-              kernel.apply(bp, stage[i % stage.size()], state);
-            }
-          }
+          kernel.sweep(bp, yet.trial(t), state);
           for (std::size_t a = 0; a < bp.layers; ++a) {
             out.annual_loss(a, row) = static_cast<double>(state.annual[a]);
             out.max_occurrence_loss(a, row) =
@@ -296,10 +276,11 @@ SimulationResult GpuCombinedTableEngine::run(
   // Deliberately layer-major: this engine reproduces the paper's
   // *rejected* combined-table formulation, whose per-layer launches
   // and cooperative row loads are the point of comparison. It does not
-  // take the trial-major fusion. Functionally it reads the event-major
-  // store every engine shares (rows of all ELT losses per event — the
-  // combined table); only the simulated costs below model the GPU's
-  // shared-memory row staging.
+  // take the trial-major fusion. Functionally each launch runs one
+  // layer's elt_sum + aggregate_step (core/simd/steps.hpp) over the
+  // binding of the event-major store every engine shares (rows of all
+  // ELT losses per event — the combined table); only the simulated
+  // costs below model the GPU's shared-memory row staging.
   const TrialRange range = context.trials.resolve(yet.trial_count());
 
   SimulationResult result;
@@ -358,27 +339,35 @@ SimulationResult GpuCombinedTableEngine::run(
   launch_ops.shared_accesses = result.ops.shared_accesses;
 
   TableStore<double> local;
-  const TableStore<double>* tables =
+  const simd::BoundPortfolio<double> bp =
       context.cost_only
-          ? nullptr
-          : select_tables(context.tables_f64, local, portfolio);
+          ? simd::BoundPortfolio<double>{}
+          : simd::bind_portfolio(
+                portfolio, *select_tables(context.tables_f64, local,
+                                          portfolio));
   for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
     if (context.cost_only) {
       dev.launch_cost_only("ara_combined_layer" + std::to_string(a), launch,
                            traits, launch_ops);
       continue;
     }
-    const BoundLayer<double> layer = bind_layer(portfolio, *tables, a);
+    const simd::EltSlots<double> slots = simd::layer_slots(bp, a);
+    const simd::XlTerms<double> terms = simd::xl_terms(bp, a);
     dev.launch(
         "ara_combined_layer" + std::to_string(a), launch, traits,
         launch_ops, [&](const simgpu::SimDevice::ThreadCtx& ctx) {
           if (ctx.global_id() >= range.size()) return;
           const auto t = static_cast<TrialId>(range.begin + ctx.global_id());
           const auto row = static_cast<TrialId>(ctx.global_id());
-          const TrialOutcome<double> out =
-              simulate_trial_fused<double>(yet.trial(t), layer);
-          result.ylt.annual_loss(a, row) = out.annual;
-          result.ylt.max_occurrence_loss(a, row) = out.max_occurrence;
+          double max_occ = 0.0, cumulative = 0.0;
+          double prev_capped = 0.0, annual = 0.0;
+          for (const EventOccurrence& occ : yet.trial(t)) {
+            simd::aggregate_step(
+                terms, simd::elt_sum(slots, simd::row_of(bp, occ.event)),
+                max_occ, cumulative, prev_capped, annual);
+          }
+          result.ylt.annual_loss(a, row) = annual;
+          result.ylt.max_occurrence_loss(a, row) = max_occ;
         });
   }
   dev.copy(static_cast<std::uint64_t>(portfolio.layer_count()) *

@@ -9,7 +9,9 @@
 //    processed in fixed-size chunks staged through shared memory,
 //    float tables, unrolled inner loops, accumulators in registers,
 //    terms in constant memory. Every optimisation is independently
-//    toggleable through EngineConfig for the ablation benchmark.
+//    toggleable through EngineConfig for the ablation benchmark; they
+//    change the simulated cost, never the YLT (the functional pass is
+//    the dispatched sweep for every launch shape).
 //  * MultiGpuEngine — the optimised kernel with the trial range
 //    decomposed evenly across N devices, one host thread per device.
 //

@@ -18,9 +18,8 @@
 // portfolio's event-major TableStore (core/trial_math.hpp), the
 // paper's "combined" table, whose row e holds event e's loss under
 // every distinct ELT. The per-ELT table stays for the reference
-// engine (the oracle builds its own, independent of the store), the
-// lookup-structure ablation, and the hot-path microbench's legacy
-// copy; both layouts are read through the same LossColumn view.
+// engine (the oracle builds its own, independent of the store) and
+// the lookup-structure ablation.
 //
 // All structures are immutable after construction and safe for
 // concurrent reads.
@@ -59,19 +58,6 @@ class LossLookup {
   virtual std::string name() const = 0;
 };
 
-/// Read-only view of one loss column: `at(ev)` is `base[ev * stride]`.
-/// A column of the event-major TableStore has stride = its row width;
-/// a DirectAccessTable is a stride-1 column.
-template <typename Real>
-struct LossColumn {
-  const Real* base = nullptr;
-  std::size_t stride = 1;
-
-  Real at(EventId event) const {
-    return base[static_cast<std::size_t>(event) * stride];
-  }
-};
-
 /// Dense array over the full event catalogue; slot e holds the loss of
 /// event e (0 when absent). One random memory access per lookup.
 /// Storage is 64-byte aligned (simd::AlignedVector).
@@ -106,9 +92,6 @@ class DirectAccessTable final : public LossLookup {
   std::span<const Real> data() const noexcept {
     return {losses_.data(), losses_.size()};
   }
-
-  /// The table as a stride-1 column.
-  LossColumn<Real> column() const noexcept { return {losses_.data(), 1}; }
 
  private:
   simd::AlignedVector<Real> losses_;

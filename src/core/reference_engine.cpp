@@ -5,7 +5,10 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/trial_math.hpp"
+#include "core/financial_terms.hpp"
+#include "core/layer.hpp"
+#include "core/layer_terms.hpp"
+#include "core/lookup_table.hpp"
 #include "perf/cpu_cost_model.hpp"
 #include "perf/machine_profile.hpp"
 #include "perf/stopwatch.hpp"
@@ -14,14 +17,14 @@ namespace ara {
 
 namespace {
 
-// The oracle's own tables: one stride-1 DirectAccessTable per ELT the
-// portfolio references, built from the ELT records. Reading these
-// instead of the shared event-major store keeps the oracle independent
-// of build_tables, so a wrong column map there cannot be repeated here.
+// The oracle's own tables: one DirectAccessTable per ELT the portfolio
+// references, built from the ELT records. Reading these instead of the
+// shared event-major store keeps the oracle independent of
+// build_tables, so a wrong column map there cannot be repeated here.
 class OwnTables {
  public:
   explicit OwnTables(const Portfolio& portfolio)
-      : portfolio_(portfolio), tables_(portfolio.elt_count()) {
+      : tables_(portfolio.elt_count()) {
     for (const Layer& layer : portfolio.layers()) {
       for (const std::size_t idx : layer.elt_indices) {
         if (!tables_[idx]) {
@@ -32,19 +35,12 @@ class OwnTables {
     }
   }
 
-  BoundLayer<double> bind(std::size_t layer_index) const {
-    const Layer& layer = portfolio_.layers()[layer_index];
-    BoundLayer<double> bound;
-    bound.layer_terms = layer.terms;
-    for (const std::size_t idx : layer.elt_indices) {
-      bound.tables.push_back(tables_[idx]->column());
-      bound.terms.push_back(portfolio_.elts()[idx].terms());
-    }
-    return bound;
+  /// ELT `idx`'s table (the ELT must be referenced by some layer).
+  const DirectAccessTable<double>& of(std::size_t idx) const {
+    return *tables_[idx];
   }
 
  private:
-  const Portfolio& portfolio_;
   std::vector<std::unique_ptr<DirectAccessTable<double>>> tables_;
 };
 
@@ -96,8 +92,8 @@ SimulationResult ReferenceEngine::run(const Portfolio& portfolio,
 
   // Line 2: for all a in L
   for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
-    const BoundLayer<double> layer = tables.bind(a);
-    const auto& lt = layer.layer_terms;
+    const Layer& layer = portfolio.layers()[a];
+    const LayerTerms& lt = layer.terms;
     // Line 3: for all b in YET (this run's trial range)
     for (std::size_t b = range.begin; b < range.end; ++b) {
       const auto trial = yet.trial(static_cast<TrialId>(b));
@@ -107,15 +103,17 @@ SimulationResult ReferenceEngine::run(const Portfolio& portfolio,
       charge(perf::Phase::kOther);
 
       // Line 4: for all c in (EL in a) — each ELT covered by the layer.
-      for (std::size_t c = 0; c < layer.elt_count(); ++c) {
+      for (const std::size_t c : layer.elt_indices) {
+        const DirectAccessTable<double>& table = tables.of(c);
+        const FinancialTerms& terms = portfolio.elts()[c].terms();
         // Lines 5-7: look up each event of the trial in ELT c.
         for (std::size_t d = 0; d < k; ++d) {
-          x[d] = layer.tables[c].at(trial[d].event);
+          x[d] = table.at(trial[d].event);
         }
         charge(perf::Phase::kLossLookup);
         // Lines 8-10: apply the ELT's financial terms.
         for (std::size_t d = 0; d < k; ++d) {
-          lx[d] = apply_financial_terms(x[d], layer.terms[c]);
+          lx[d] = apply_financial_terms(x[d], terms);
         }
         charge(perf::Phase::kFinancialTerms);
         // Lines 11-13: accumulate across ELTs into one loss per event.

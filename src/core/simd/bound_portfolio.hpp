@@ -1,10 +1,7 @@
-// SoA binding of a portfolio for the vectorizable hot path.
-//
-// The legacy binding (core/trial_math.hpp) is a vector of BoundLayer,
-// each holding vectors of table pointers and FinancialTerms structs —
-// applying one occurrence walks three levels of indirection per ELT
-// and keeps the per-layer running state in an array of structs. The
-// BoundPortfolio here flattens all of it:
+// SoA binding of a portfolio: the one binding every engine and
+// extension sweeps (ReferenceEngine, the independent oracle, excepted).
+// It flattens the portfolio's layers, ELT terms and table columns so
+// that applying one occurrence walks no per-ELT indirection:
 //
 //   * one contiguous array of column base pointers into the
 //     event-major TableStore over every (layer, ELT) slot, in layer
@@ -22,8 +19,8 @@
 //     (min(max(l*fx - r, 0), lim))*s == min(max(l*(fx*s) - r*s, 0),
 //     lim*s) for s >= 0, so folding drops one multiply and one load
 //     per slot. The fold reassociates rounding, which the vector
-//     kernels' tolerance contract already admits — the scalar kernel
-//     keeps the unfolded arrays and the exact legacy sequence,
+//     kernels' tolerance contract already admits — elt_sum
+//     (core/simd/steps.hpp) keeps the unfolded arrays,
 //   * each layer's slot run padded to a multiple of kEltPad with
 //     all-zero terms (pointing at the layer's first table), so the
 //     vector combine loops are remainder-free: a zeroed slot
@@ -37,14 +34,15 @@
 // neutral: apply_financial_terms casts the same double to the same
 // Real on every call, so hoisting the cast cannot change a result.
 //
-// PortfolioTrialState is the matching SoA of the running state
-// (LayerTrialState split into parallel aligned arrays). Both are
-// consumed by the dispatched kernels in core/simd/kernels.hpp.
+// PortfolioTrialState is the matching SoA of every layer's running
+// state in parallel aligned arrays. Both are consumed by the dispatched
+// kernels in core/simd/kernels.hpp.
 //
 // This header is deliberately lean — struct definitions only, binding
 // logic out of line in bound_portfolio.cpp — because the ISA-specific
 // kernel TUs include it while compiled with per-file vector flags, and
-// inline code shared with default-flag TUs would be an ODR hazard.
+// inline code shared with default-flag TUs would be an ODR hazard (the
+// operand steps in steps.hpp have internal linkage for that reason).
 #pragma once
 
 #include <cstddef>
@@ -113,15 +111,13 @@ struct BoundPortfolio {
   /// the table is cache-resident (see kPrefetchMinTableBytes) — the
   /// kernels then skip prefetching.
   const Real* prefetch_rows = nullptr;
-
-  std::size_t elt_slot_count() const noexcept { return table_base.size(); }
 };
 
-/// Running state of one trial over every layer: LayerTrialState as
-/// parallel 64-byte-aligned arrays of length padded_layers (padding
-/// lanes stay 0 by construction). `combined` is the per-event scratch
-/// the two-phase vector kernels stage the per-layer combined losses
-/// in.
+/// Running state of one trial over every layer: aggregate_step's four
+/// registers per layer as parallel 64-byte-aligned arrays of length
+/// padded_layers (padding lanes stay 0 by construction). `combined` is
+/// the per-event scratch the vector kernels' multi-layer apply stages
+/// the per-layer combined losses in.
 template <typename Real>
 struct PortfolioTrialState {
   AlignedVector<Real> combined;

@@ -1,7 +1,7 @@
 // Kernel selection: SimdPolicy x (build + host capability) -> the
 // SweepKernel the engines drive. Selection happens once per engine
 // run, so the per-event path carries no dispatch overhead beyond one
-// indirect call per trial (sweep) or per staged event (apply).
+// indirect call per trial.
 #include <stdexcept>
 #include <string>
 
@@ -16,7 +16,6 @@ template <typename Real>
 SweepKernel<Real> scalar_kernel() {
   SweepKernel<Real> k;
   k.sweep = &detail::sweep_scalar;
-  k.apply = &detail::apply_scalar;
   k.isa = IsaLevel::kScalar;
   k.lanes = 1;
   return k;
@@ -30,16 +29,14 @@ SweepKernel<Real> vector_kernel(IsaLevel isa) {
 #if defined(ARA_SIMD_HAVE_AVX2)
   if (isa == IsaLevel::kAvx2) {
     k.sweep = &detail::sweep_avx2;
-    k.apply = &detail::apply_avx2;
-    k.isa = isa;
+      k.isa = isa;
     k.lanes = isa_lanes(isa, sizeof(Real));
   }
 #endif
 #if defined(ARA_SIMD_HAVE_NEON)
   if (isa == IsaLevel::kNeon) {
     k.sweep = &detail::sweep_neon;
-    k.apply = &detail::apply_neon;
-    k.isa = isa;
+      k.isa = isa;
     k.lanes = isa_lanes(isa, sizeof(Real));
   }
 #endif

@@ -1,13 +1,15 @@
 // Internal: the per-ISA kernel entry points the dispatcher wires into
-// SweepKernel. Each overload set is defined in exactly one TU
-// (kernels_scalar.cpp / kernels_avx2.cpp / kernels_neon.cpp); the ISA
-// TUs are compiled with per-file vector flags and keep everything but
-// these uniquely-named entries in anonymous namespaces, so no inline
-// symbol ever has two differently-compiled definitions.
+// SweepKernel, and the one sweep loop they share. Each entry is
+// defined in exactly one TU (kernels_scalar.cpp / kernels_avx2.cpp /
+// kernels_neon.cpp); the ISA TUs are compiled with per-file vector
+// flags and keep everything but these uniquely-named entries in
+// anonymous namespaces, so no inline symbol ever has two differently-
+// compiled definitions.
 //
-// The row addressing and prefetch helpers below are shared by the
-// three kernel TUs. They sit in an anonymous namespace, so each TU
-// compiles its own internal copy with its own flags.
+// The prefetch helpers and `sweep_trial` below sit in an anonymous
+// namespace, so each kernel TU compiles its own internal copy with its
+// own flags. A kernel TU supplies only its ELT combine and its
+// multi-layer apply; sweep_trial owns everything else.
 #pragma once
 
 #include <algorithm>
@@ -16,16 +18,11 @@
 #include <span>
 
 #include "core/simd/bound_portfolio.hpp"
+#include "core/simd/steps.hpp"
 #include "core/types.hpp"
 
 namespace ara::simd {
 namespace {
-
-/// Offset of event `ev`'s row in every slot's column.
-template <typename Real>
-inline std::size_t row_of(const BoundPortfolio<Real>& bp, EventId ev) {
-  return static_cast<std::size_t>(ev) * bp.row_stride;
-}
 
 // The prefetch helpers are always_inline: GCC treats __builtin_prefetch
 // as free of side effects, so it deduces a separate helper that only
@@ -65,6 +62,45 @@ template <typename Real>
   }
 }
 
+/// One whole trial: reset, row prefetch, then every occurrence.
+/// `layer_combine(bp, a)` returns the TU's ELT combine for layer a as a
+/// callable on an event's row offset; `apply_layers(bp, row, st)`
+/// applies one occurrence to every layer of a multi-layer book. A
+/// one-layer book takes aggregate_step with its combine, its terms and
+/// its running state hoisted into locals, which the compiler keeps in
+/// registers (same operations in the same order as the general loop).
+template <typename Real, typename LayerCombine, typename ApplyLayers>
+inline void sweep_trial(const BoundPortfolio<Real>& bp,
+                        std::span<const EventOccurrence> trial,
+                        PortfolioTrialState<Real>& st,
+                        LayerCombine layer_combine, ApplyLayers apply_layers) {
+  st.reset();
+  const std::size_t n = trial.size();
+  prefetch_first_rows(bp, trial);
+
+  if (bp.layers == 1) {
+    const auto combine = layer_combine(bp, 0);
+    const XlTerms<Real> terms = xl_terms(bp, 0);
+    Real max_occ = Real(0), cumulative = Real(0);
+    Real prev_capped = Real(0), annual = Real(0);
+    for (std::size_t i = 0; i < n; ++i) {
+      prefetch_ahead(bp, trial, i);
+      aggregate_step(terms, combine(row_of(bp, trial[i].event)), max_occ,
+                     cumulative, prev_capped, annual);
+    }
+    st.max_occurrence[0] = max_occ;
+    st.cumulative[0] = cumulative;
+    st.prev_capped[0] = prev_capped;
+    st.annual[0] = annual;
+    return;
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    prefetch_ahead(bp, trial, i);
+    apply_layers(bp, row_of(bp, trial[i].event), st);
+  }
+}
+
 }  // namespace
 }  // namespace ara::simd
 
@@ -77,10 +113,6 @@ void sweep_scalar(const BoundPortfolio<double>& bp,
 void sweep_scalar(const BoundPortfolio<float>& bp,
                   std::span<const EventOccurrence> trial,
                   PortfolioTrialState<float>& st);
-void apply_scalar(const BoundPortfolio<double>& bp, EventId ev,
-                  PortfolioTrialState<double>& st);
-void apply_scalar(const BoundPortfolio<float>& bp, EventId ev,
-                  PortfolioTrialState<float>& st);
 
 #if defined(ARA_SIMD_HAVE_AVX2)
 void sweep_avx2(const BoundPortfolio<double>& bp,
@@ -88,10 +120,6 @@ void sweep_avx2(const BoundPortfolio<double>& bp,
                 PortfolioTrialState<double>& st);
 void sweep_avx2(const BoundPortfolio<float>& bp,
                 std::span<const EventOccurrence> trial,
-                PortfolioTrialState<float>& st);
-void apply_avx2(const BoundPortfolio<double>& bp, EventId ev,
-                PortfolioTrialState<double>& st);
-void apply_avx2(const BoundPortfolio<float>& bp, EventId ev,
                 PortfolioTrialState<float>& st);
 #endif
 
@@ -101,10 +129,6 @@ void sweep_neon(const BoundPortfolio<double>& bp,
                 PortfolioTrialState<double>& st);
 void sweep_neon(const BoundPortfolio<float>& bp,
                 std::span<const EventOccurrence> trial,
-                PortfolioTrialState<float>& st);
-void apply_neon(const BoundPortfolio<double>& bp, EventId ev,
-                PortfolioTrialState<double>& st);
-void apply_neon(const BoundPortfolio<float>& bp, EventId ev,
                 PortfolioTrialState<float>& st);
 #endif
 

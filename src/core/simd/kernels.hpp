@@ -1,17 +1,19 @@
 // Runtime-dispatched kernels over the SoA portfolio binding.
 //
-// A SweepKernel is a pair of function pointers selected once per run
-// (never per event): `sweep` evaluates one whole trial — reset, every
+// A SweepKernel is one function pointer selected once per run (never
+// per event): `sweep` evaluates one whole trial — reset, every
 // occurrence, software prefetch of the event-major row kPrefetchWindow
-// occurrences ahead — and is what the CPU engines drive; `apply`
-// applies a single occurrence with no reset, which is the shape the
-// chunk-staged GPU kernel needs (it owns the trial loop and the
-// staging buffer).
+// occurrences ahead — over every layer of the binding. The CPU engines
+// and every fused simulated GPU engine's functional pass drive it; the
+// layer-major readers (reinstatements, secondary uncertainty,
+// GpuCombinedTableEngine) call the same steps (core/simd/steps.hpp) on
+// the same binding, one layer at a time.
 //
 // Determinism contracts (DESIGN.md §8):
-//   * SimdPolicy::kScalar — the exact operand sequence of
-//     trial_math.hpp's apply_event_to_layer; results are bit-identical
-//     to the pre-SIMD engines. This is the default everywhere.
+//   * SimdPolicy::kScalar — the one operand sequence of
+//     core/simd/steps.hpp (elt_sum, aggregate_step); results are
+//     bit-identical to ReferenceEngine's four-pass loop. This is the
+//     default everywhere.
 //   * vector kernels — lane order is fixed (a layer's ELT slots are
 //     combined as 4/8 partial sums reduced low-lane-first), so results
 //     are bit-reproducible run to run on the same build + host, but
@@ -34,11 +36,8 @@ struct SweepKernel {
   using SweepFn = void (*)(const BoundPortfolio<Real>&,
                            std::span<const EventOccurrence>,
                            PortfolioTrialState<Real>&);
-  using ApplyFn = void (*)(const BoundPortfolio<Real>&, EventId,
-                           PortfolioTrialState<Real>&);
 
   SweepFn sweep = nullptr;
-  ApplyFn apply = nullptr;
   IsaLevel isa = IsaLevel::kScalar;
   unsigned lanes = 1;  ///< f64 lanes for double, f32 lanes for float
 };

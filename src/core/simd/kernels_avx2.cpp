@@ -9,20 +9,24 @@
 // anonymous namespace so no symbol compiled with vector flags can be
 // picked over a default-flag duplicate at link time.
 //
-// Shape of the work, per occurrence (kernels.hpp's SIMD contract):
-//   phase 1 — per layer, the ELT slots are combined with aligned
-//     vector loads of the folded SoA term arrays (share multiplied
-//     through at bind time — one fewer load and multiply per slot)
-//     and scalar loads of the table values (the same row offset on
-//     different column base pointers; a gather buys nothing there and
-//     is opaque to the sanitizers). The layer's slot
-//     run is padded to kEltPad with zero-term slots, so the loop has
-//     no scalar remainder; the 4/8 partial sums are reduced
-//     low-lane-first — the fixed order that makes runs reproducible.
-//   phase 2 — the across-layer occurrence/aggregate update runs as an
-//     elementwise aligned vector loop over the padded layer arrays.
-//     Elementwise ops match scalar bit for bit, so all cross-scalar
-//     divergence is confined to phase 1's reassociated ELT sums.
+// This TU supplies the two pieces sweep_trial (kernel_entries.hpp)
+// takes from an ISA; sweep_trial owns reset, prefetch and the one-layer
+// running state (aggregate_step in locals). Per occurrence
+// (kernels.hpp's SIMD contract):
+//   combine — a layer's ELT slots are combined with aligned vector
+//     loads of the folded SoA term arrays (share multiplied through at
+//     bind time — one fewer load and multiply per slot) and scalar
+//     loads of the table values (the same row offset on different
+//     column base pointers; a gather buys nothing there and is opaque
+//     to the sanitizers). The layer's slot run is padded to kEltPad
+//     with zero-term slots, so the loop has no scalar remainder; the
+//     4/8 partial sums are reduced low-lane-first — the fixed order
+//     that makes runs reproducible.
+//   apply_layers — every layer's combine into st.combined, then the
+//     across-layer occurrence/aggregate update as an elementwise
+//     aligned vector loop over the padded layer arrays. Elementwise ops
+//     match scalar bit for bit, so all cross-scalar divergence is
+//     confined to the reassociated ELT sums.
 #if defined(ARA_SIMD_HAVE_AVX2)
 
 #include <immintrin.h>
@@ -36,9 +40,9 @@ namespace {
 
 // ---- f64: 4 lanes ----------------------------------------------------------
 
-// `jb`/`je` delimit the padded slot run (both multiples of kEltPad),
-// so every iteration is a full vector and the term loads are aligned.
-// `row` is the event's row offset into every slot's column.
+// `jb`/`je` delimit a layer's padded slot run (both multiples of
+// kEltPad), so every iteration is a full vector and the term loads are
+// aligned. `row` is the event's row offset into every slot's column.
 inline double combine_elts_f64(const BoundPortfolio<double>& bp,
                                std::size_t row, std::uint32_t jb,
                                std::uint32_t je) {
@@ -60,9 +64,15 @@ inline double combine_elts_f64(const BoundPortfolio<double>& bp,
   return ((lane[0] + lane[1]) + lane[2]) + lane[3];
 }
 
-void apply_event_f64(const BoundPortfolio<double>& bp, EventId ev,
-                     PortfolioTrialState<double>& st) {
-  const std::size_t row = row_of(bp, ev);
+auto combine_layer_f64(const BoundPortfolio<double>& bp, std::size_t a) {
+  return [&bp, jb = bp.elt_begin[a],
+          je = bp.elt_begin[a + 1]](std::size_t row) {
+    return combine_elts_f64(bp, row, jb, je);
+  };
+}
+
+void apply_layers_f64(const BoundPortfolio<double>& bp, std::size_t row,
+                      PortfolioTrialState<double>& st) {
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
         combine_elts_f64(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
@@ -86,48 +96,6 @@ void apply_event_f64(const BoundPortfolio<double>& bp, EventId ev,
                     _mm256_add_pd(_mm256_load_pd(&st.annual[a]),
                                   _mm256_sub_pd(capped, prev)));
     _mm256_store_pd(&st.prev_capped[a], capped);
-  }
-}
-
-void sweep_f64(const BoundPortfolio<double>& bp,
-               std::span<const EventOccurrence> trial,
-               PortfolioTrialState<double>& st) {
-  st.reset();
-  const std::size_t n = trial.size();
-  prefetch_first_rows(bp, trial);
-  if (bp.layers == 1) {
-    // Single-layer fast path: vector ELT combine, scalar running state
-    // in locals (the across-layer phase would be 1 live lane of 4).
-    const std::uint32_t je = bp.elt_begin[1];
-    const double occ_ret = bp.occ_retention[0];
-    const double occ_lim = bp.occ_limit[0];
-    const double agg_ret = bp.agg_retention[0];
-    const double agg_lim = bp.agg_limit[0];
-    double cumulative = 0.0, prev_capped = 0.0, annual = 0.0, max_occ = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      prefetch_ahead(bp, trial, i);
-      const double combined =
-          combine_elts_f64(bp, row_of(bp, trial[i].event), 0, je);
-      double y = combined - occ_ret;
-      if (y < 0.0) y = 0.0;
-      if (y > occ_lim) y = occ_lim;
-      if (y > max_occ) max_occ = y;
-      cumulative += y;
-      double capped = cumulative - agg_ret;
-      if (capped < 0.0) capped = 0.0;
-      if (capped > agg_lim) capped = agg_lim;
-      annual += capped - prev_capped;
-      prev_capped = capped;
-    }
-    st.cumulative[0] = cumulative;
-    st.prev_capped[0] = prev_capped;
-    st.annual[0] = annual;
-    st.max_occurrence[0] = max_occ;
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    prefetch_ahead(bp, trial, i);
-    apply_event_f64(bp, trial[i].event, st);
   }
 }
 
@@ -159,9 +127,15 @@ inline float combine_elts_f32(const BoundPortfolio<float>& bp,
          lane[7];
 }
 
-void apply_event_f32(const BoundPortfolio<float>& bp, EventId ev,
-                     PortfolioTrialState<float>& st) {
-  const std::size_t row = row_of(bp, ev);
+auto combine_layer_f32(const BoundPortfolio<float>& bp, std::size_t a) {
+  return [&bp, jb = bp.elt_begin[a],
+          je = bp.elt_begin[a + 1]](std::size_t row) {
+    return combine_elts_f32(bp, row, jb, je);
+  };
+}
+
+void apply_layers_f32(const BoundPortfolio<float>& bp, std::size_t row,
+                      PortfolioTrialState<float>& st) {
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
         combine_elts_f32(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
@@ -187,47 +161,6 @@ void apply_event_f32(const BoundPortfolio<float>& bp, EventId ev,
   }
 }
 
-void sweep_f32(const BoundPortfolio<float>& bp,
-               std::span<const EventOccurrence> trial,
-               PortfolioTrialState<float>& st) {
-  st.reset();
-  const std::size_t n = trial.size();
-  prefetch_first_rows(bp, trial);
-  if (bp.layers == 1) {
-    const std::uint32_t je = bp.elt_begin[1];
-    const float occ_ret = bp.occ_retention[0];
-    const float occ_lim = bp.occ_limit[0];
-    const float agg_ret = bp.agg_retention[0];
-    const float agg_lim = bp.agg_limit[0];
-    float cumulative = 0.0f, prev_capped = 0.0f, annual = 0.0f,
-          max_occ = 0.0f;
-    for (std::size_t i = 0; i < n; ++i) {
-      prefetch_ahead(bp, trial, i);
-      const float combined =
-          combine_elts_f32(bp, row_of(bp, trial[i].event), 0, je);
-      float y = combined - occ_ret;
-      if (y < 0.0f) y = 0.0f;
-      if (y > occ_lim) y = occ_lim;
-      if (y > max_occ) max_occ = y;
-      cumulative += y;
-      float capped = cumulative - agg_ret;
-      if (capped < 0.0f) capped = 0.0f;
-      if (capped > agg_lim) capped = agg_lim;
-      annual += capped - prev_capped;
-      prev_capped = capped;
-    }
-    st.cumulative[0] = cumulative;
-    st.prev_capped[0] = prev_capped;
-    st.annual[0] = annual;
-    st.max_occurrence[0] = max_occ;
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    prefetch_ahead(bp, trial, i);
-    apply_event_f32(bp, trial[i].event, st);
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -235,20 +168,12 @@ namespace detail {
 void sweep_avx2(const BoundPortfolio<double>& bp,
                 std::span<const EventOccurrence> trial,
                 PortfolioTrialState<double>& st) {
-  sweep_f64(bp, trial, st);
+  sweep_trial(bp, trial, st, combine_layer_f64, apply_layers_f64);
 }
 void sweep_avx2(const BoundPortfolio<float>& bp,
                 std::span<const EventOccurrence> trial,
                 PortfolioTrialState<float>& st) {
-  sweep_f32(bp, trial, st);
-}
-void apply_avx2(const BoundPortfolio<double>& bp, EventId ev,
-                PortfolioTrialState<double>& st) {
-  apply_event_f64(bp, ev, st);
-}
-void apply_avx2(const BoundPortfolio<float>& bp, EventId ev,
-                PortfolioTrialState<float>& st) {
-  apply_event_f32(bp, ev, st);
+  sweep_trial(bp, trial, st, combine_layer_f32, apply_layers_f32);
 }
 
 }  // namespace detail

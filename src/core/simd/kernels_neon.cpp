@@ -1,12 +1,12 @@
 // NEON kernels (aarch64): 2 x f64 / 4 x f32 lanes.
 //
 // Mirror of kernels_avx2.cpp at 128-bit width — see that file and
-// kernels.hpp for the phase structure and the SIMD determinism
-// contract (fixed low-lane-first reduction order; -ffp-contract=off
-// per-file keeps the lane math un-fused). NEON is architecturally
-// baseline on aarch64, so there is no runtime probe beyond the build
-// gate; everything except the dispatch entry points is in an
-// anonymous namespace.
+// kernels.hpp for the combine / apply_layers split that sweep_trial
+// (kernel_entries.hpp) drives and the SIMD determinism contract (fixed
+// low-lane-first reduction order; -ffp-contract=off per-file keeps the
+// lane math un-fused). NEON is architecturally baseline on aarch64, so
+// there is no runtime probe beyond the build gate; everything except
+// the dispatch entry points is in an anonymous namespace.
 #if defined(ARA_SIMD_HAVE_NEON)
 
 #include <arm_neon.h>
@@ -20,9 +20,9 @@ namespace {
 
 // ---- f64: 2 lanes ----------------------------------------------------------
 
-// `jb`/`je` delimit the padded slot run (multiples of kEltPad): every
-// iteration is a full vector over the folded term arrays. `row` is the
-// event's row offset into every slot's column.
+// `jb`/`je` delimit a layer's padded slot run (multiples of kEltPad):
+// every iteration is a full vector over the folded term arrays. `row`
+// is the event's row offset into every slot's column.
 inline double combine_elts_f64(const BoundPortfolio<double>& bp,
                                std::size_t row, std::uint32_t jb,
                                std::uint32_t je) {
@@ -42,9 +42,15 @@ inline double combine_elts_f64(const BoundPortfolio<double>& bp,
   return vgetq_lane_f64(acc, 0) + vgetq_lane_f64(acc, 1);
 }
 
-void apply_event_f64(const BoundPortfolio<double>& bp, EventId ev,
-                     PortfolioTrialState<double>& st) {
-  const std::size_t row = row_of(bp, ev);
+auto combine_layer_f64(const BoundPortfolio<double>& bp, std::size_t a) {
+  return [&bp, jb = bp.elt_begin[a],
+          je = bp.elt_begin[a + 1]](std::size_t row) {
+    return combine_elts_f64(bp, row, jb, je);
+  };
+}
+
+void apply_layers_f64(const BoundPortfolio<double>& bp, std::size_t row,
+                      PortfolioTrialState<double>& st) {
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
         combine_elts_f64(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
@@ -92,9 +98,15 @@ inline float combine_elts_f32(const BoundPortfolio<float>& bp,
          vgetq_lane_f32(acc, 3);
 }
 
-void apply_event_f32(const BoundPortfolio<float>& bp, EventId ev,
-                     PortfolioTrialState<float>& st) {
-  const std::size_t row = row_of(bp, ev);
+auto combine_layer_f32(const BoundPortfolio<float>& bp, std::size_t a) {
+  return [&bp, jb = bp.elt_begin[a],
+          je = bp.elt_begin[a + 1]](std::size_t row) {
+    return combine_elts_f32(bp, row, jb, je);
+  };
+}
+
+void apply_layers_f32(const BoundPortfolio<float>& bp, std::size_t row,
+                      PortfolioTrialState<float>& st) {
   for (std::size_t a = 0; a < bp.layers; ++a) {
     st.combined[a] =
         combine_elts_f32(bp, row, bp.elt_begin[a], bp.elt_begin[a + 1]);
@@ -119,48 +131,6 @@ void apply_event_f32(const BoundPortfolio<float>& bp, EventId ev,
   }
 }
 
-template <typename Real, typename ApplyFn, typename CombineFn>
-void sweep_impl(const BoundPortfolio<Real>& bp,
-                std::span<const EventOccurrence> trial,
-                PortfolioTrialState<Real>& st, ApplyFn apply,
-                CombineFn combine) {
-  st.reset();
-  const std::size_t n = trial.size();
-  prefetch_first_rows(bp, trial);
-  if (bp.layers == 1) {
-    const std::uint32_t je = bp.elt_begin[1];
-    const Real occ_ret = bp.occ_retention[0];
-    const Real occ_lim = bp.occ_limit[0];
-    const Real agg_ret = bp.agg_retention[0];
-    const Real agg_lim = bp.agg_limit[0];
-    Real cumulative = Real(0), prev_capped = Real(0);
-    Real annual = Real(0), max_occ = Real(0);
-    for (std::size_t i = 0; i < n; ++i) {
-      prefetch_ahead(bp, trial, i);
-      const Real combined = combine(bp, row_of(bp, trial[i].event), 0, je);
-      Real y = combined - occ_ret;
-      if (y < Real(0)) y = Real(0);
-      if (y > occ_lim) y = occ_lim;
-      if (y > max_occ) max_occ = y;
-      cumulative += y;
-      Real capped = cumulative - agg_ret;
-      if (capped < Real(0)) capped = Real(0);
-      if (capped > agg_lim) capped = agg_lim;
-      annual += capped - prev_capped;
-      prev_capped = capped;
-    }
-    st.cumulative[0] = cumulative;
-    st.prev_capped[0] = prev_capped;
-    st.annual[0] = annual;
-    st.max_occurrence[0] = max_occ;
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    prefetch_ahead(bp, trial, i);
-    apply(bp, trial[i].event, st);
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -168,20 +138,12 @@ namespace detail {
 void sweep_neon(const BoundPortfolio<double>& bp,
                 std::span<const EventOccurrence> trial,
                 PortfolioTrialState<double>& st) {
-  sweep_impl(bp, trial, st, apply_event_f64, combine_elts_f64);
+  sweep_trial(bp, trial, st, combine_layer_f64, apply_layers_f64);
 }
 void sweep_neon(const BoundPortfolio<float>& bp,
                 std::span<const EventOccurrence> trial,
                 PortfolioTrialState<float>& st) {
-  sweep_impl(bp, trial, st, apply_event_f32, combine_elts_f32);
-}
-void apply_neon(const BoundPortfolio<double>& bp, EventId ev,
-                PortfolioTrialState<double>& st) {
-  apply_event_f64(bp, ev, st);
-}
-void apply_neon(const BoundPortfolio<float>& bp, EventId ev,
-                PortfolioTrialState<float>& st) {
-  apply_event_f32(bp, ev, st);
+  sweep_trial(bp, trial, st, combine_layer_f32, apply_layers_f32);
 }
 
 }  // namespace detail

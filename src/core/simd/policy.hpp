@@ -16,7 +16,7 @@ enum class SimdPolicy : std::uint8_t {
   /// Deterministic run-to-run (fixed lane order), but ELT sums are
   /// reassociated, so results may differ from kScalar in the last ulp.
   kAuto,
-  /// The reference sequence: bit-identical to the pre-SIMD engines.
+  /// The reference sequence: bit-identical to ReferenceEngine.
   /// This is the default — vectorization is always opt-in.
   kScalar,
   /// Require a vector kernel; `simd_width` (when non-zero) pins the

@@ -632,6 +632,11 @@ ShardCoordinator::~ShardCoordinator() {
   }
 }
 
+DistCounters ShardCoordinator::counters() const {
+  std::lock_guard<std::mutex> lock(impl_->mutex);
+  return impl_->counters;
+}
+
 DistResult ShardCoordinator::run(const AnalysisRequest& request) {
   // The fleet prices the core simulation only; refuse the session's
   // extensions before any work rather than silently dropping them.
@@ -701,8 +706,7 @@ DistResult ShardCoordinator::run(const AnalysisRequest& request) {
       ShardPlan{job.trial_count, static_cast<std::size_t>(lease_trials)},
       impl);
   result.analysis.engine = *policy.engine;
-  std::lock_guard<std::mutex> lock(impl.mutex);
-  result.counters = impl.counters;
+  result.counters = counters();
   return result;
 }
 

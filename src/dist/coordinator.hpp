@@ -98,6 +98,11 @@ class ShardCoordinator {
   /// The bound endpoint (TCP port resolved) — hand this to workers.
   const serve::Endpoint& endpoint() const noexcept { return endpoint_; }
 
+  /// A consistent snapshot of the counters so far, readable from any
+  /// thread while run() is in flight (a narrow stand-in until the
+  /// process-wide metrics registry exists).
+  DistCounters counters() const;
+
   /// Runs the distributed analysis to completion: accepts workers,
   /// leases out every trial (or the stopping oracle's frontier, wave
   /// by wave), hands their blocks to the trial-range loop, and

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/simd/bound_portfolio.hpp"
+#include "core/simd/steps.hpp"
 #include "core/trial_math.hpp"
 
 namespace ara::ext {
@@ -101,23 +103,21 @@ ReinstatementResult ReinstatementEngine::run(
   const TrialRange range = trials.resolve(yet.trial_count());
   ReinstatementResult result(portfolio_.layer_count(), range.size());
   TableStore<double> local;
-  const TableStore<double>& tables =
-      *select_tables(shared_tables, local, portfolio_);
+  const simd::BoundPortfolio<double> bp = simd::bind_portfolio(
+      portfolio_, *select_tables(shared_tables, local, portfolio_));
 
+  // Each occurrence's loss before occurrence terms: the reinstatement
+  // walk applies its own occurrence limit and capacity.
   std::vector<double> occ_losses;
   for (std::size_t a = 0; a < portfolio_.layer_count(); ++a) {
-    const BoundLayer<double> layer = bind_layer(portfolio_, tables, a);
+    const simd::EltSlots<double> slots = simd::layer_slots(bp, a);
     for (std::size_t b = range.begin; b < range.end; ++b) {
       const auto trial = yet.trial(static_cast<TrialId>(b));
       occ_losses.clear();
       occ_losses.reserve(trial.size());
       for (const EventOccurrence& occ : trial) {
-        double combined = 0.0;
-        for (std::size_t j = 0; j < layer.elt_count(); ++j) {
-          combined += apply_financial_terms(layer.tables[j].at(occ.event),
-                                            layer.terms[j]);
-        }
-        occ_losses.push_back(combined);
+        occ_losses.push_back(
+            simd::elt_sum(slots, simd::row_of(bp, occ.event)));
       }
       result.at(a, static_cast<TrialId>(b - range.begin)) =
           evaluate_reinstatement_trial(occ_losses, terms_[a]);

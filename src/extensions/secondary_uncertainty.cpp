@@ -1,8 +1,9 @@
 #include "extensions/secondary_uncertainty.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
+#include "core/simd/bound_portfolio.hpp"
+#include "core/simd/steps.hpp"
 #include "core/trial_math.hpp"
 #include "perf/cpu_cost_model.hpp"
 #include "perf/machine_profile.hpp"
@@ -38,14 +39,15 @@ SimulationResult SecondaryUncertaintyEngine::run(
   // RNG sub-stream whose draws are consumed in per-layer order, so the
   // trial-major fusion would reorder nothing but is not needed either.
   TableStore<double> local;
-  const TableStore<double>& tables =
-      *select_tables(context.tables_f64, local, portfolio);
+  const simd::BoundPortfolio<double> bp = simd::bind_portfolio(
+      portfolio, *select_tables(context.tables_f64, local, portfolio));
   result.ylt = Ylt(portfolio.layer_count(), range.size());
 
   const double mean_beta = config_.alpha / (config_.alpha + config_.beta);
 
   for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
-    const BoundLayer<double> layer = bind_layer(portfolio, tables, a);
+    const simd::EltSlots<double> slots = simd::layer_slots(bp, a);
+    const simd::XlTerms<double> terms = simd::xl_terms(bp, a);
     for (std::size_t b = range.begin; b < range.end; ++b) {
       // One deterministic sub-stream per (layer, trial): draws are
       // keyed by the *global* trial index, so results do not depend on
@@ -55,25 +57,21 @@ SimulationResult SecondaryUncertaintyEngine::run(
       synth::BetaSampler damage(config_.alpha, config_.beta);
 
       const auto trial = yet.trial(static_cast<TrialId>(b));
-      double cumulative = 0.0, prev_capped = 0.0;
-      double annual = 0.0, max_occ = 0.0;
+      double max_occ = 0.0, cumulative = 0.0;
+      double prev_capped = 0.0, annual = 0.0;
       for (const EventOccurrence& occ : trial) {
-        double combined = 0.0;
-        for (std::size_t j = 0; j < layer.elt_count(); ++j) {
-          const double ground = layer.tables[j].at(occ.event);
-          if (ground == 0.0) continue;  // no draw for uncovered events
-          const double multiplier = damage.sample(rng) / mean_beta;
-          combined +=
-              apply_financial_terms(ground * multiplier, layer.terms[j]);
-        }
-        const double occ_loss =
-            apply_occurrence_terms(combined, layer.layer_terms);
-        max_occ = std::max(max_occ, occ_loss);
-        cumulative += occ_loss;
-        const double capped =
-            apply_aggregate_terms(cumulative, layer.layer_terms);
-        annual += capped - prev_capped;
-        prev_capped = capped;
+        const std::size_t row = simd::row_of(bp, occ.event);
+        // One damage draw per covered (occurrence, ELT), in slot order.
+        // An uncovered event draws nothing; its zero loss contributes
+        // exactly +0.0 to the sum.
+        const double combined =
+            simd::elt_sum(slots, [&](std::uint32_t j) {
+              const double ground = slots.table_base[j][row];
+              return ground == 0.0 ? 0.0
+                                   : ground * (damage.sample(rng) / mean_beta);
+            });
+        simd::aggregate_step(terms, combined, max_occ, cumulative,
+                             prev_capped, annual);
       }
       result.ylt.annual_loss(a, static_cast<TrialId>(b - range.begin)) =
           annual;

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/engine_factory.hpp"
 #include "core/gpu_engines.hpp"
 #include "core/reference_engine.hpp"
+#include "four_pass_reference.hpp"
 #include "synth/scenarios.hpp"
 
 namespace ara {
@@ -129,6 +133,81 @@ TEST(HeterogeneousMultiGpu, BalancedFinishTimes) {
       c2075.run(half.portfolio, half.yet).simulated_seconds;
 
   EXPECT_LT(t_balanced, t_even_lower * 1.02);
+}
+
+// The paper's chunking, register scratch and unrolling change memory
+// traffic, never a result: the simulator charges them through
+// KernelTraits and the functional pass is the same sweep whatever the
+// launch shape. Under kScalar every feasible (block_threads,
+// chunk_size) shape — chunk_size 1 included — with each flag on and off
+// gives the four-pass oracle's YLT bit for bit, in f64 and f32, on the
+// optimised, multi-GPU and (batching) streamed engines.
+TEST(LaunchShape, FunctionalPassIgnoresLaunchShape) {
+  struct Shape {
+    unsigned block_threads;
+    unsigned chunk_size;
+  };
+  const Shape shapes[] = {{32, 1}, {32, 88}, {64, 40}, {128, 16}, {256, 1}};
+  const std::vector<synth::Scenario> scenarios = [] {
+    std::vector<synth::Scenario> v;
+    v.push_back(synth::tiny(40, 3));                  // 2 layers
+    v.push_back(synth::multi_layer_book(5, 40, 8));  // shared ELTs
+    v.push_back(synth::paper_scaled(20000, 9));      // one layer
+    return v;
+  }();
+
+  for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
+    const synth::Scenario& s = scenarios[sc];
+    const Ylt expect_f64 = ReferenceEngine().run(s.portfolio, s.yet).ylt;
+    const Ylt expect_f32 = four_pass_ylt<float>(s.portfolio, s.yet);
+    for (const Shape& shape : shapes) {
+      for (unsigned flags = 0; flags < 8; ++flags) {
+        for (const bool use_float : {false, true}) {
+          EngineConfig cfg = paper_config(EngineKind::kGpuOptimized);
+          cfg.block_threads = shape.block_threads;
+          cfg.chunk_size = shape.chunk_size;
+          cfg.chunking = (flags & 1) != 0;
+          cfg.unroll = (flags & 2) != 0;
+          cfg.use_registers = (flags & 4) != 0;
+          cfg.use_float = use_float;
+          const Ylt& expect = use_float ? expect_f32 : expect_f64;
+
+          std::vector<std::unique_ptr<Engine>> engines;
+          engines.push_back(
+              std::make_unique<GpuOptimizedEngine>(simgpu::tesla_c2075(), cfg));
+          engines.push_back(
+              std::make_unique<MultiGpuEngine>(simgpu::tesla_m2090(), 3, cfg));
+          // Room for the tables plus a third of the trials: several
+          // batches.
+          const std::size_t n = s.yet.trial_count();
+          simgpu::DeviceSpec batching = simgpu::tesla_m2090();
+          batching.global_mem_bytes =
+              tables_device_bytes(s.portfolio, 8) +
+              (yet_device_bytes(s.yet, 0, n) +
+               s.portfolio.layer_count() * n * 8) / 3;
+          if (!use_float) {
+            ASSERT_GT(StreamedGpuEngine(batching, cfg)
+                          .batch_count(s.portfolio, s.yet),
+                      1u);
+          }
+          engines.push_back(
+              std::make_unique<StreamedGpuEngine>(batching, cfg));
+          for (const auto& engine : engines) {
+            const std::string what =
+                engine->name() + " scenario " + std::to_string(sc) + " bt=" +
+                std::to_string(shape.block_threads) +
+                " chunk=" + std::to_string(shape.chunk_size) +
+                " flags=" + std::to_string(flags) +
+                (use_float ? " f32" : " f64");
+            const Ylt got = engine->run(s.portfolio, s.yet).ylt;
+            ASSERT_EQ(got.annual_raw(), expect.annual_raw()) << what;
+            ASSERT_EQ(got.max_occurrence_raw(), expect.max_occurrence_raw())
+                << what;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(HeterogeneousMultiGpu, SingleDeviceDegenerate) {

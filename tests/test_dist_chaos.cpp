@@ -211,45 +211,66 @@ TEST(DistChaos, BitFlippedBlockIsDiscardedNeverMerged) {
 
 TEST(DistChaos, ExternalSigkillIsRecovered) {
   // No failpoints: a real `kill -9` from outside while the run is in
-  // flight. Works in Release builds too. The kill delay is derived
-  // from the measured monolithic runtime so the victim is still
-  // mid-run when the signal lands, whatever the build flavour
-  // (Debug, TSan, Release) does to absolute speed.
+  // flight. Works in Release builds too. The signal fires on observed
+  // lease state, not on a clock, so it lands mid-run whatever the build
+  // flavour (Debug, TSan, Release) does to absolute speed.
   serve::SynthSpec spec = chaos_spec(10000);
   spec.events_per_trial = 100.0;
-  // Measure the two phases a worker goes through — materialize, then
-  // compute — and aim the signal at the middle of the compute phase,
-  // when the victim provably owns leases.
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
   const serve::ServedWorkload w = serve::materialize_synth(spec);
-  const auto t1 = Clock::now();
   const auto engine = make_engine(
       ExecutionPolicy::with_engine(EngineKind::kSequentialFused));
   const SimulationResult mono = engine->run(w.portfolio, w.yet);
-  const auto t2 = Clock::now();
-  // The coordinator materializes once before it starts accepting, and
-  // the victim materializes once more before its first lease — the
-  // victim's compute phase therefore starts two materializations in.
-  const auto kill_delay =
-      2 * std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0) +
-      std::chrono::duration_cast<std::chrono::milliseconds>((t2 - t1) / 2);
 
   const DistConfig config = chaos_config(spec, "sigkill", 250, 800);
   ShardCoordinator coordinator(config);
   // The victim runs the fleet alone until the signal; the survivor
-  // only joins afterwards, so the kill is guaranteed to land on a
-  // worker that owns leases.
+  // only joins afterwards. So whenever the coordinator has granted more
+  // leases than it has accepted blocks, the outstanding lease is the
+  // victim's. The victim is stopped first and the counters read again
+  // after a settle, so a block already on the wire is accepted before
+  // the decision: the kill lands only while the victim still holds a
+  // lease, with at most 20 of the 40 blocks accepted.
   const pid_t victim = spawn_worker(coordinator.endpoint(), "victim",
                                     nullptr);
   pid_t survivor = -1;
+  std::string killer_error;
   std::thread killer([&] {
-    std::this_thread::sleep_for(kill_delay);
+    using Clock = std::chrono::steady_clock;
+    const auto victim_owns_lease = [&] {
+      const DistCounters c = coordinator.counters();
+      return c.leases_granted > c.blocks_accepted && c.blocks_accepted <= 20;
+    };
+    const auto deadline = Clock::now() + std::chrono::seconds(60);
+    bool killed = false;
+    while (Clock::now() < deadline &&
+           coordinator.counters().blocks_accepted <= 20) {
+      if (victim_owns_lease()) {
+        ::kill(victim, SIGSTOP);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (victim_owns_lease()) {
+          ::kill(victim, SIGKILL);
+          killed = true;
+          break;
+        }
+        ::kill(victim, SIGCONT);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (killed) {
+      survivor = spawn_worker(coordinator.endpoint(), "survivor", nullptr);
+      return;
+    }
+    const DistCounters c = coordinator.counters();
+    killer_error = "the victim never held a lease with at most 20 of 40 "
+                   "blocks accepted within 60 s (leases_granted=" +
+                   std::to_string(c.leases_granted) + ", blocks_accepted=" +
+                   std::to_string(c.blocks_accepted) + ")";
+    // Let run() finish on the local fallback instead of hanging.
     ::kill(victim, SIGKILL);
-    survivor = spawn_worker(coordinator.endpoint(), "survivor", nullptr);
   });
   const DistResult result = coordinator.run(metrics_request());
   killer.join();
+  if (!killer_error.empty()) ADD_FAILURE() << killer_error;
   EXPECT_EQ(reap(victim), 128 + SIGKILL);
   EXPECT_EQ(reap(survivor), 0);
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <stdexcept>
+#include <string>
 
 #include "core/engine_factory.hpp"
 #include "core/reference_engine.hpp"
+#include "core/session.hpp"
 #include "synth/scenarios.hpp"
 
 namespace ara {
@@ -128,6 +132,71 @@ TEST(GpuEngines, TransferExcludedFromHeadlineTime) {
   EXPECT_NEAR(r.simulated_seconds +
                   r.simulated_phases[perf::Phase::kTransfer],
               r.simulated_phases.total(), 1e-12);
+}
+
+// A zero launch shape is rejected up front, naming the field, instead of
+// dividing by zero (block_threads) or simulating an infinite time
+// (chunk_size with chunking on).
+void expect_rejects(const std::function<void()>& run, const std::string& field,
+                    const std::string& what) {
+  try {
+    run();
+    ADD_FAILURE() << what << ": no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << what << ": " << e.what();
+  }
+}
+
+EngineConfig gpu_config(EngineKind kind, unsigned block_threads,
+                        unsigned chunk_size) {
+  EngineConfig cfg = paper_config(kind);
+  cfg.block_threads = block_threads;
+  cfg.chunk_size = chunk_size;
+  return cfg;
+}
+
+TEST(ZeroLaunchShape, MakeEngineRejectsNamingTheField) {
+  for (const EngineKind kind : {EngineKind::kGpuBasic,
+                                EngineKind::kGpuOptimized,
+                                EngineKind::kMultiGpu}) {
+    ExecutionPolicy policy = ExecutionPolicy::with_engine(kind);
+    policy.config = gpu_config(kind, 0, 88);
+    expect_rejects([&] { (void)make_engine(policy); }, "block_threads",
+                   engine_kind_name(kind) + " block_threads=0");
+    policy.config = gpu_config(kind, 32, 0);
+    expect_rejects([&] { (void)make_engine(policy); }, "chunk_size",
+                   engine_kind_name(kind) + " chunk_size=0");
+  }
+}
+
+TEST(ZeroLaunchShape, ZeroChunkWithoutChunkingIsAccepted) {
+  const synth::Scenario s = synth::tiny(16);
+  ExecutionPolicy policy =
+      ExecutionPolicy::with_engine(EngineKind::kGpuOptimized);
+  EngineConfig cfg = gpu_config(EngineKind::kGpuOptimized, 32, 0);
+  cfg.chunking = false;
+  policy.config = cfg;
+  const SimulationResult r = make_engine(policy)->run(s.portfolio, s.yet);
+  EXPECT_TRUE(std::isfinite(r.simulated_seconds));
+  EXPECT_GT(r.simulated_seconds, 0.0);
+}
+
+TEST(ZeroLaunchShape, AutoSessionRejectsNamingTheField) {
+  const synth::Scenario s = synth::tiny(16);
+  AnalysisSession session;
+  AnalysisRequest request;
+  request.portfolio = &s.portfolio;
+  request.yet = &s.yet;
+  ExecutionPolicy policy = ExecutionPolicy::auto_select();
+  policy.config = gpu_config(EngineKind::kGpuOptimized, 0, 88);
+  request.policy = policy;
+  expect_rejects([&] { (void)session.run(request); }, "block_threads",
+                 "auto block_threads=0");
+  policy.config = gpu_config(EngineKind::kGpuOptimized, 32, 0);
+  request.policy = policy;
+  expect_rejects([&] { (void)session.run(request); }, "chunk_size",
+                 "auto chunk_size=0");
 }
 
 }  // namespace

@@ -1,25 +1,28 @@
 // The SIMD dispatch wall (DESIGN.md §8): the scalar kernel is the
 // bitwise-reference mode — under SimdPolicy::kScalar every engine must
-// reproduce the legacy trial_math formulation bit for bit, in both
+// reproduce the independent four-pass oracle bit for bit, in both
 // precisions, monolithic and sharded. Vector kernels carry a weaker
 // contract: run-to-run deterministic (fixed lane order) and within
 // last-ulp-scale tolerance of scalar (ELT sums are reassociated).
 // Dispatch itself must fall back to scalar when capped, honour
 // kForceWidth exactly, and reject widths the build cannot provide.
 // Remainder lanes (layer/ELT counts that do not divide the vector
-// width) are swept exhaustively against the legacy formulation.
+// width) are swept exhaustively against the oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "core/reference_engine.hpp"
 #include "core/session.hpp"
 #include "core/simd/bound_portfolio.hpp"
 #include "core/simd/capability.hpp"
 #include "core/simd/kernels.hpp"
 #include "core/trial_math.hpp"
+#include "four_pass_reference.hpp"
 #include "synth/portfolio_generator.hpp"
 #include "synth/scenarios.hpp"
 #include "synth/yet_generator.hpp"
@@ -27,25 +30,17 @@
 namespace ara {
 namespace {
 
-// Expected YLT computed by the legacy (pre-SoA) formulation:
-// bind_all_layers + simulate_trial_multilayer, whose per-layer operand
-// sequence is the bitwise contract the scalar kernel promises to keep.
+// Expected YLT: ReferenceEngine's four-pass loop in f64, the test-local
+// four-pass loop (four_pass_reference.hpp) in f32. Neither reads the
+// shared store or calls the kernels' operand steps, so the kScalar
+// walls compare the sweep against an independent oracle.
 template <typename Real>
-Ylt legacy_ylt(const Portfolio& portfolio, const Yet& yet) {
-  const TableStore<Real> store = build_tables<Real>(portfolio);
-  const std::vector<BoundLayer<Real>> layers =
-      bind_all_layers(portfolio, store);
-  std::vector<LayerTrialState<Real>> state(layers.size());
-  Ylt ylt(portfolio.layer_count(), yet.trial_count());
-  for (TrialId t = 0; t < yet.trial_count(); ++t) {
-    simulate_trial_multilayer<Real>(yet.trial(t), layers, state);
-    for (std::size_t a = 0; a < layers.size(); ++a) {
-      ylt.annual_loss(a, t) = static_cast<double>(state[a].out.annual);
-      ylt.max_occurrence_loss(a, t) =
-          static_cast<double>(state[a].out.max_occurrence);
-    }
+Ylt reference_ylt(const Portfolio& portfolio, const Yet& yet) {
+  if constexpr (std::is_same_v<Real, double>) {
+    return ReferenceEngine().run(portfolio, yet).ylt;
+  } else {
+    return four_pass_ylt<Real>(portfolio, yet);
   }
-  return ylt;
 }
 
 void expect_bitwise(const Ylt& got, const Ylt& expect, const std::string& what) {
@@ -101,16 +96,16 @@ Ylt run_with(AnalysisSession& session, const Portfolio& portfolio,
   return session.run(request).simulation.ylt;
 }
 
-// --- kScalar is the legacy sequence, everywhere -------------------
+// --- kScalar is the reference sequence, everywhere ----------------
 
 // Every engine kind, both precisions where honoured, monolithic and
-// sharded: under kScalar the YLT is bit-identical to the legacy
-// formulation. This is the regression wall that lets the SoA rewrite
-// claim "bitwise-reference mode".
-TEST(ScalarBitwise, AllEnginesAllShardsMatchLegacy) {
+// sharded: under kScalar the YLT is bit-identical to the four-pass
+// oracle. This is the regression wall that lets the SoA sweep claim
+// "bitwise-reference mode".
+TEST(ScalarBitwise, AllEnginesAllShardsMatchReference) {
   const synth::Scenario s = synth::tiny(26, 5);
-  const Ylt expect_f64 = legacy_ylt<double>(s.portfolio, s.yet);
-  const Ylt expect_f32 = legacy_ylt<float>(s.portfolio, s.yet);
+  const Ylt expect_f64 = reference_ylt<double>(s.portfolio, s.yet);
+  const Ylt expect_f32 = reference_ylt<float>(s.portfolio, s.yet);
 
   AnalysisSession session;
   const std::size_t shards[] = {0, 7, 13};  // 0 = monolithic
@@ -253,10 +248,10 @@ TEST(SimdDispatch, ForceWidthSelectsNeonLanes) {
 // Every (layer count, ELT count) in 1..9 x 1..9 — bracketing all the
 // partial-vector remainders of both the 4/8-lane AVX2 and 2/4-lane
 // NEON kernels, plus the padded-layer tail of the phase-2 loop. The
-// scalar kernel must be bitwise-equal to the legacy formulation and
-// the auto kernel within tolerance, driven directly (no engine on
-// top), so a remainder bug cannot hide behind engine plumbing.
-TEST(SimdRemainderLanes, AllSmallShapesMatchLegacy) {
+// scalar kernel must be bitwise-equal to the four-pass oracle and the
+// auto kernel within tolerance, driven directly (no engine on top), so
+// a remainder bug cannot hide behind engine plumbing.
+TEST(SimdRemainderLanes, AllSmallShapesMatchReference) {
   const synth::Catalogue catalogue = synth::Catalogue::make(200, 3, 30.0);
   synth::YetGeneratorConfig yc;
   yc.trials = 6;
@@ -280,7 +275,7 @@ TEST(SimdRemainderLanes, AllSmallShapesMatchLegacy) {
       const std::string what =
           std::to_string(layers) + "L x " + std::to_string(elts) + "E";
 
-      const Ylt expect = legacy_ylt<double>(portfolio, yet);
+      const Ylt expect = reference_ylt<double>(portfolio, yet);
       const TableStore<double> store = build_tables<double>(portfolio);
       const simd::BoundPortfolio<double> bp =
           simd::bind_portfolio(portfolio, store);
@@ -380,7 +375,7 @@ Ylt sweep_ylt(const simd::SweepKernel<Real>& kernel,
 }
 
 template <typename Real>
-void expect_window_edges_match_legacy(std::size_t layers, double rel) {
+void expect_window_edges_match_reference(std::size_t layers, double rel) {
   const Portfolio portfolio = edge_portfolio(layers);
   const Yet yet = edge_yet();
   const std::string what = std::to_string(layers) + "L/" +
@@ -390,7 +385,7 @@ void expect_window_edges_match_legacy(std::size_t layers, double rel) {
   const simd::BoundPortfolio<Real> bp = simd::bind_portfolio(portfolio, store);
   ASSERT_NE(bp.prefetch_rows, nullptr) << what;
 
-  const Ylt expect = legacy_ylt<Real>(portfolio, yet);
+  const Ylt expect = reference_ylt<Real>(portfolio, yet);
   // The last event id has a loss in every ELT, so a trial that reads
   // it cannot come out 0 by accident.
   ASSERT_GT(expect.annual_loss(0, 1), 0.0) << what;
@@ -402,10 +397,10 @@ void expect_window_edges_match_legacy(std::size_t layers, double rel) {
       expect, rel, what + "/auto");
 }
 
-TEST(SimdPrefetchWindow, TrialLengthsAroundWindowMatchLegacy) {
+TEST(SimdPrefetchWindow, TrialLengthsAroundWindowMatchReference) {
   for (const std::size_t layers : {1, 2}) {
-    expect_window_edges_match_legacy<double>(layers, 1e-9);
-    expect_window_edges_match_legacy<float>(layers, 1e-5);
+    expect_window_edges_match_reference<double>(layers, 1e-9);
+    expect_window_edges_match_reference<float>(layers, 1e-5);
   }
 }
 

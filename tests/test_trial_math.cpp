@@ -1,14 +1,49 @@
-// Direct unit tests of the fused per-trial kernel math — the routine
-// every parallel engine's inner loop is built from.
+// Direct unit tests of the per-trial operand sequence — elt_sum +
+// aggregate_step driven by the kScalar sweep, the routine every
+// engine's inner loop is built from — and of the event-major loss
+// tables it reads.
 #include "core/trial_math.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "core/simd/bound_portfolio.hpp"
+#include "core/simd/kernels.hpp"
+#include "four_pass_reference.hpp"
 
 namespace ara {
 namespace {
+
+template <typename Real>
+struct Outcome {
+  Real annual = Real(0);
+  Real max_occurrence = Real(0);
+};
+
+// One trial through the dispatched kScalar sweep over the portfolio's
+// binding; one outcome per layer.
+template <typename Real>
+std::vector<Outcome<Real>> sweep(const Portfolio& portfolio,
+                                 const TableStore<Real>& store,
+                                 std::span<const EventOccurrence> trial) {
+  const simd::BoundPortfolio<Real> bp = simd::bind_portfolio(portfolio, store);
+  simd::PortfolioTrialState<Real> state(bp);
+  simd::select_kernel<Real>(simd::SimdPolicy::kScalar).sweep(bp, trial, state);
+  std::vector<Outcome<Real>> out(bp.layers);
+  for (std::size_t a = 0; a < bp.layers; ++a) {
+    out[a] = {state.annual[a], state.max_occurrence[a]};
+  }
+  return out;
+}
+
+// Event e's loss in column c of the event-major rows.
+template <typename Real>
+Real cell(const TableStore<Real>& store, EventId e, std::size_t c) {
+  return store.data()[static_cast<std::size_t>(e) * store.width + c];
+}
 
 struct Fixture {
   Portfolio portfolio;
@@ -26,10 +61,9 @@ struct Fixture {
     return Portfolio(std::move(elts), {Layer{"L", {0, 1}, lt}});
   }
 
-  TrialOutcome<double> run(const std::vector<EventOccurrence>& events) {
-    const BoundLayer<double> layer = bind_layer(portfolio, tables, 0);
-    return simulate_trial_fused<double>(
-        std::span<const EventOccurrence>(events), layer);
+  Outcome<double> run(const std::vector<EventOccurrence>& events) {
+    return sweep<double>(portfolio, tables,
+                         std::span<const EventOccurrence>(events))[0];
   }
 };
 
@@ -98,20 +132,21 @@ TEST(TrialMath, FloatInstantiationTracksDouble) {
   const TableStore<double> td = build_tables<double>(p);
   const TableStore<float> tf = build_tables<float>(p);
   const std::vector<EventOccurrence> trial = {{1, 1}, {2, 2}, {1, 3}};
-  const auto d = simulate_trial_fused<double>(
-      std::span<const EventOccurrence>(trial), bind_layer(p, td, 0));
-  const auto f = simulate_trial_fused<float>(
-      std::span<const EventOccurrence>(trial), bind_layer(p, tf, 0));
+  const auto d =
+      sweep<double>(p, td, std::span<const EventOccurrence>(trial))[0];
+  const auto f =
+      sweep<float>(p, tf, std::span<const EventOccurrence>(trial))[0];
   EXPECT_NEAR(static_cast<double>(f.annual), d.annual,
               1e-4 * (1.0 + d.annual));
 }
 
-TEST(TrialMath, BoundLayerResolvesLayerOrder) {
+TEST(TrialMath, BindingResolvesLayerOrder) {
   Fixture f(LayerTerms::identity());
-  const BoundLayer<double> layer = bind_layer(f.portfolio, f.tables, 0);
-  EXPECT_EQ(layer.elt_count(), 2u);
-  EXPECT_DOUBLE_EQ(layer.tables[0].at(1), 100.0);
-  EXPECT_DOUBLE_EQ(layer.tables[1].at(4), 400.0);
+  const simd::BoundPortfolio<double> bp =
+      simd::bind_portfolio(f.portfolio, f.tables);
+  EXPECT_EQ(bp.elt_end[0] - bp.elt_begin[0], 2u);
+  EXPECT_DOUBLE_EQ(bp.table_base[0][1 * bp.row_stride], 100.0);
+  EXPECT_DOUBLE_EQ(bp.table_base[1][4 * bp.row_stride], 400.0);
 }
 
 TEST(TrialMath, TableStorePerLayerShapes) {
@@ -150,23 +185,24 @@ TEST(TrialMath, TableStoreDeduplicatesSharedElts) {
   EXPECT_EQ(store.width, 2u);
   const std::vector<std::vector<std::size_t>> want = {{0, 1}, {1, 0}, {0, 1}};
   EXPECT_EQ(store.per_layer, want);
-  EXPECT_DOUBLE_EQ(store.column(store.per_layer[1][0]).at(2), 2.0);
-  EXPECT_DOUBLE_EQ(store.column(store.per_layer[1][1]).at(1), 1.0);
+  EXPECT_DOUBLE_EQ(cell(store, 2, store.per_layer[1][0]), 2.0);
+  EXPECT_DOUBLE_EQ(cell(store, 1, store.per_layer[1][1]), 1.0);
 }
 
-// A moved-from-into store keeps its rows, and every view of them, valid
-// (the session cache moves stores into shared_ptr-held slots).
+// A moved-from-into store keeps its rows, and every binding of them,
+// valid (the session cache moves stores into shared_ptr-held slots).
 TEST(TrialMath, TableStoreSurvivesMove) {
   Fixture f(LayerTerms::identity());
   TableStore<double> store = build_tables<double>(f.portfolio);
   const double* rows = store.data();
-  const BoundLayer<double> layer = bind_layer(f.portfolio, store, 0);
+  const simd::BoundPortfolio<double> bp =
+      simd::bind_portfolio(f.portfolio, store);
   const TableStore<double> moved = std::move(store);
   EXPECT_EQ(moved.data(), rows);
   EXPECT_EQ(store.data(), nullptr);
-  EXPECT_DOUBLE_EQ(moved.column(moved.per_layer[0][0]).at(1), 100.0);
-  EXPECT_DOUBLE_EQ(moved.column(moved.per_layer[0][1]).at(4), 400.0);
-  EXPECT_DOUBLE_EQ(layer.tables[1].at(2), 50.0);
+  EXPECT_DOUBLE_EQ(cell(moved, 1, moved.per_layer[0][0]), 100.0);
+  EXPECT_DOUBLE_EQ(cell(moved, 4, moved.per_layer[0][1]), 400.0);
+  EXPECT_DOUBLE_EQ(bp.table_base[1][2 * bp.row_stride], 50.0);
 }
 
 // Three ELTs referenced out of index order by two layers, one ELT
@@ -207,9 +243,9 @@ void expect_every_record_at_its_cell(const Portfolio& p) {
                 static_cast<Real>(r.loss))
           << "ELT " << k << " event " << r.event;
     }
-    // Every event, present or absent (0), through the column view.
+    // Every event, present or absent (0).
     for (EventId e = 0; e <= p.catalogue_size(); ++e) {
-      EXPECT_EQ(store.column(c).at(e), static_cast<Real>(elt.lookup(e)))
+      EXPECT_EQ(cell(store, e, c), static_cast<Real>(elt.lookup(e)))
           << "ELT " << k << " event " << e;
     }
   }
@@ -223,11 +259,10 @@ TEST(TrialMath, EventMajorRowsHoldEveryRecordAtItsColumn) {
 
 TEST(TrialMath, EventAbsentFromEltReadsZero) {
   Fixture f(LayerTerms::identity());
-  const BoundLayer<double> layer = bind_layer(f.portfolio, f.tables, 0);
-  EXPECT_EQ(layer.tables[0].at(4), 0.0);   // only in ELT 1
-  EXPECT_EQ(layer.tables[1].at(1), 0.0);   // only in ELT 0
-  EXPECT_EQ(layer.tables[0].at(0), 0.0);   // the unused id-0 row
-  EXPECT_EQ(layer.tables[1].at(10), 0.0);  // last catalogue event
+  EXPECT_EQ(cell(f.tables, 4, 0), 0.0);   // only in ELT 1
+  EXPECT_EQ(cell(f.tables, 1, 1), 0.0);   // only in ELT 0
+  EXPECT_EQ(cell(f.tables, 0, 0), 0.0);   // the unused id-0 row
+  EXPECT_EQ(cell(f.tables, 10, 1), 0.0);  // last catalogue event
 }
 
 // Just over simd::kHugePageMinBytes: the rows start on a 2 MiB
@@ -247,12 +282,12 @@ TEST(TrialMath, LargeTableIsHugePageAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(store.data()) %
                 simd::kHugePageBytes,
             0u);
-  EXPECT_EQ(store.column(0).at(1), 11.0);
-  EXPECT_EQ(store.column(0).at(2), 0.0);
-  EXPECT_EQ(store.column(1).at(2), 21.0);
-  EXPECT_EQ(store.column(0).at(kCatalogue), 12.0);
-  EXPECT_EQ(store.column(1).at(kCatalogue), 22.0);
-  EXPECT_EQ(store.column(1).at(kCatalogue - 1), 0.0);
+  EXPECT_EQ(cell(store, 1, 0), 11.0);
+  EXPECT_EQ(cell(store, 2, 0), 0.0);
+  EXPECT_EQ(cell(store, 2, 1), 21.0);
+  EXPECT_EQ(cell(store, kCatalogue, 0), 12.0);
+  EXPECT_EQ(cell(store, kCatalogue, 1), 22.0);
+  EXPECT_EQ(cell(store, kCatalogue - 1, 1), 0.0);
 }
 
 // Below the huge-page line the rows are cache-line aligned.
@@ -263,23 +298,29 @@ TEST(TrialMath, SmallTableIsCacheLineAligned) {
             0u);
 }
 
-// The tentpole property: the trial-major multilayer sweep must be
-// bitwise identical, layer by layer, to running simulate_trial_fused
-// per layer — including shared ELTs, clamping terms, and both
-// precisions.
+// The trial-major multilayer sweep must be bitwise identical, layer by
+// layer, to sweeping each layer on its own (the one-layer path keeps
+// its running state in locals) and to the four-pass reference —
+// including shared ELTs, clamping terms, and both precisions.
 template <typename Real>
 void expect_multilayer_matches_fused(const Portfolio& p,
                                      const std::vector<EventOccurrence>& trial) {
   const TableStore<Real> store = build_tables<Real>(p);
-  const std::vector<BoundLayer<Real>> layers = bind_all_layers(p, store);
-  std::vector<LayerTrialState<Real>> state(layers.size());
-  simulate_trial_multilayer<Real>(std::span<const EventOccurrence>(trial),
-                                  layers, state);
-  for (std::size_t a = 0; a < layers.size(); ++a) {
-    const TrialOutcome<Real> fused = simulate_trial_fused<Real>(
-        std::span<const EventOccurrence>(trial), layers[a]);
-    ASSERT_EQ(state[a].out.annual, fused.annual) << "layer " << a;
-    ASSERT_EQ(state[a].out.max_occurrence, fused.max_occurrence)
+  const auto all =
+      sweep<Real>(p, store, std::span<const EventOccurrence>(trial));
+  const Ylt expect =
+      four_pass_ylt<Real>(p, Yet({trial}, p.catalogue_size()));
+  for (std::size_t a = 0; a < p.layer_count(); ++a) {
+    const Portfolio alone(p.elts(), {p.layers()[a]});
+    const Outcome<Real> fused = sweep<Real>(
+        alone, build_tables<Real>(alone),
+        std::span<const EventOccurrence>(trial))[0];
+    ASSERT_EQ(all[a].annual, fused.annual) << "layer " << a;
+    ASSERT_EQ(all[a].max_occurrence, fused.max_occurrence) << "layer " << a;
+    ASSERT_EQ(static_cast<double>(all[a].annual), expect.annual_loss(a, 0))
+        << "layer " << a;
+    ASSERT_EQ(static_cast<double>(all[a].max_occurrence),
+              expect.max_occurrence_loss(a, 0))
         << "layer " << a;
   }
 }
@@ -310,16 +351,16 @@ TEST(TrialMath, MultilayerBitwiseMatchesPerLayerFused) {
 
 TEST(TrialMath, MultilayerEmptyTrialAndStateReset) {
   Fixture f(LayerTerms::identity());
-  const std::vector<BoundLayer<double>> layers =
-      bind_all_layers(f.portfolio, f.tables);
-  std::vector<LayerTrialState<double>> state(layers.size());
+  const simd::BoundPortfolio<double> bp =
+      simd::bind_portfolio(f.portfolio, f.tables);
+  simd::PortfolioTrialState<double> state(bp);
   // Dirty state must be reset on entry.
-  state[0].cumulative = 123.0;
-  state[0].out.annual = 456.0;
-  simulate_trial_multilayer<double>(std::span<const EventOccurrence>{},
-                                    layers, state);
-  EXPECT_DOUBLE_EQ(state[0].out.annual, 0.0);
-  EXPECT_DOUBLE_EQ(state[0].out.max_occurrence, 0.0);
+  state.cumulative[0] = 123.0;
+  state.annual[0] = 456.0;
+  simd::select_kernel<double>(simd::SimdPolicy::kScalar)
+      .sweep(bp, std::span<const EventOccurrence>{}, state);
+  EXPECT_DOUBLE_EQ(state.annual[0], 0.0);
+  EXPECT_DOUBLE_EQ(state.max_occurrence[0], 0.0);
 }
 
 }  // namespace
