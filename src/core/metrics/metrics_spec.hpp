@@ -7,8 +7,7 @@
 // booleans. A MetricsSpec is a pure description: the session decides
 // whether to answer it from a materialized YLT or by streaming shard
 // blocks through the reducers in core/metrics/streaming.hpp (the two
-// paths agree bitwise on the order-statistic family and to <= 1e-12
-// relative on the mean family; DESIGN.md §6).
+// paths agree bitwise on every metric; DESIGN.md §6).
 #pragma once
 
 #include <cstddef>

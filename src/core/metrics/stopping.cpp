@@ -32,20 +32,12 @@ double tvar_from_sorted(const std::vector<double>& sorted, double p) {
   return sum / static_cast<double>(tail);
 }
 
-double point_estimate(const StoppingTarget& target,
-                      const std::vector<double>& sorted) {
-  switch (target.metric) {
-    case StopMetric::kAal: {
-      double sum = 0.0;
-      for (const double x : sorted) sum += x;
-      return sum / static_cast<double>(sorted.size());
-    }
-    case StopMetric::kVar:
-      return quantile_sorted(sorted, target.p);
-    case StopMetric::kTvar:
-      return tvar_from_sorted(sorted, target.p);
-  }
-  throw std::logic_error("stopping: unknown metric");
+// A kVar/kTvar target's estimate on the ascending sample.
+double order_statistic(const StoppingTarget& target,
+                       const std::vector<double>& sorted) {
+  return target.metric == StopMetric::kVar
+             ? quantile_sorted(sorted, target.p)
+             : tvar_from_sorted(sorted, target.p);
 }
 
 void validate_target(const StoppingTarget& target) {
@@ -150,36 +142,36 @@ TargetStatus evaluate_target(const StoppingTarget& target,
   status.target = target;
   status.trials = n;
 
-  std::vector<double> sorted = sorted_copy(losses);
-  status.estimate = point_estimate(target, sorted);
-
   if (target.metric == StopMetric::kAal) {
-    status.std_error =
-        n > 1 ? stddev(losses) / std::sqrt(static_cast<double>(n)) : 0.0;
-  } else if (n > 1) {
-    // Bootstrap SE, same estimator shape as quantile_convergence:
-    // resample-with-replacement, rep-variance with the reps/(reps-1)
-    // correction. Seeded by sample size so any evaluation of the same
-    // prefix reproduces bitwise.
-    synth::Xoshiro256StarStar rng(synth::substream(seed, n));
-    double sum = 0.0, sum2 = 0.0;
-    std::vector<double> resample(n);
-    for (unsigned rep = 0; rep < bootstrap_reps; ++rep) {
-      for (std::size_t i = 0; i < n; ++i) {
-        resample[i] = losses[static_cast<std::size_t>(rng.next_below(n))];
-      }
-      std::sort(resample.begin(), resample.end());
-      const double q = point_estimate(target, resample);
-      sum += q;
-      sum2 += q * q;
-    }
-    const double m = sum / bootstrap_reps;
-    const double var =
-        std::max(0.0, sum2 / bootstrap_reps - m * m) *
-        (static_cast<double>(bootstrap_reps) / (bootstrap_reps - 1.0));
-    status.std_error = std::sqrt(var);
+    // The report's own exact sums: no sorted copy, and the estimate is
+    // bitwise the AAL a report over the same trials carries.
+    status.estimate = mean(losses);
+    status.std_error = stddev(losses) / std::sqrt(static_cast<double>(n));
   } else {
-    status.std_error = 0.0;
+    status.estimate = order_statistic(target, sorted_copy(losses));
+    if (n > 1) {
+      // Bootstrap SE, same estimator shape as quantile_convergence:
+      // resample-with-replacement, rep-variance with the reps/(reps-1)
+      // correction. Seeded by sample size so any evaluation of the same
+      // prefix reproduces bitwise.
+      synth::Xoshiro256StarStar rng(synth::substream(seed, n));
+      double sum = 0.0, sum2 = 0.0;
+      std::vector<double> resample(n);
+      for (unsigned rep = 0; rep < bootstrap_reps; ++rep) {
+        for (std::size_t i = 0; i < n; ++i) {
+          resample[i] = losses[static_cast<std::size_t>(rng.next_below(n))];
+        }
+        std::sort(resample.begin(), resample.end());
+        const double q = order_statistic(target, resample);
+        sum += q;
+        sum2 += q * q;
+      }
+      const double m = sum / bootstrap_reps;
+      const double var =
+          std::max(0.0, sum2 / bootstrap_reps - m * m) *
+          (static_cast<double>(bootstrap_reps) / (bootstrap_reps - 1.0));
+      status.std_error = std::sqrt(var);
+    }
   }
 
   status.half_width = z * status.std_error;

@@ -114,7 +114,9 @@ double z_for_confidence(double confidence);
 /// critical value (callers adjust it for union bounds — the race
 /// does); `relative_tolerance` only feeds the `satisfied` flag. A
 /// sample of fewer than two trials is never satisfied: its spread is
-/// unobservable. Deterministic for (seed, losses).
+/// unobservable. An AAL target reads its estimate and CLT error from
+/// the prefix's exact sums (mean()/stddev(), no copy); only VaR/TVaR
+/// targets sort a copy. Deterministic for (seed, losses).
 TargetStatus evaluate_target(const StoppingTarget& target,
                              std::span<const double> losses, double z,
                              double relative_tolerance,

@@ -171,15 +171,19 @@ StreamingMetricsReducer::StreamingMetricsReducer(
   // SampleAccumulator owns a mutex, so the vectors are filled by
   // emplacement rather than copy-assign.
   const auto fill = [](std::vector<SampleAccumulator>& samples,
-                       std::size_t count, std::size_t capacity) {
+                       std::size_t count, std::size_t capacity,
+                       bool mean_stats) {
     samples.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) samples.emplace_back(capacity);
+    for (std::size_t i = 0; i < count; ++i) {
+      samples.emplace_back(capacity, mean_stats);
+    }
   };
 
   const bool capital = spec_.portfolio && spec_.capital_allocation;
   if (spec_.per_layer || capital) {
     fill(layer_annual_, labels_.size(),
-         annual_depth(spec_.per_layer, capital));
+         annual_depth(spec_.per_layer, capital),
+         /*mean_stats=*/spec_.per_layer);
   }
   if (spec_.per_layer) {
     std::size_t d = 1;
@@ -187,36 +191,27 @@ StreamingMetricsReducer::StreamingMetricsReducer(
       d = std::max(d, period_rank(n, t));
     }
     d = std::max(d, std::min(n, spec_.ep_curve_points));
-    fill(layer_occurrence_, labels_.size(), clamp(d));
+    fill(layer_occurrence_, labels_.size(), clamp(d), /*mean_stats=*/false);
   }
   if (spec_.portfolio) {
-    fill(portfolio_, 1, annual_depth(true, capital));
+    fill(portfolio_, 1, annual_depth(true, capital), /*mean_stats=*/true);
     if (capital) {
       fill(leave_one_out_, labels_.size(),
-           clamp(quantile_depth(n, spec_.capital_p)));
+           clamp(quantile_depth(n, spec_.capital_p)), /*mean_stats=*/false);
     }
   }
 }
 
 void StreamingMetricsReducer::SampleAccumulator::add_block(
-    const double* values, std::size_t n, std::size_t trial_begin,
-    bool mean_stats) {
-  // Block-local mean stats first, outside the sample lock: left-to-right
-  // sum, then left-to-right M2 about the block mean — exactly the
-  // monolithic mean()/stddev() arithmetic on this range.
-  BlockStats b;
-  if (mean_stats) {
-    b.count = n;
-    for (std::size_t i = 0; i < n; ++i) b.sum += values[i];
-    b.mean = b.sum / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = values[i] - b.mean;
-      b.m2 += d * d;
-    }
-  }
+    const double* values, std::size_t n) {
+  // The block's exact sums are formed outside the sample lock and
+  // merged under it; both steps are exact, so no block plan or
+  // completion order can move a bit of the mean family.
+  ExactMoments block;
+  if (moments) block.add({values, n});
   std::lock_guard<std::mutex> lock(*mutex);
   for (std::size_t i = 0; i < n; ++i) tail.insert(values[i]);
-  if (mean_stats) blocks.emplace(trial_begin, b);
+  if (moments) moments->merge(block);
 }
 
 void StreamingMetricsReducer::consume(const Ylt& block,
@@ -247,7 +242,7 @@ void StreamingMetricsReducer::consume(const Ylt& block,
   // The reduction itself runs outside the global lock — concurrent
   // blocks contend per sample (add_block locks the accumulator), so
   // shard completions reduce different samples in parallel.
-  if (bt > 0) consume_block(block, trial_begin);
+  if (bt > 0) consume_block(block);
 
   // Coverage advances only after the block is fully reduced, so
   // finish() succeeding implies every sample saw every row.
@@ -257,17 +252,14 @@ void StreamingMetricsReducer::consume(const Ylt& block,
   covered_ += bt;
 }
 
-void StreamingMetricsReducer::consume_block(const Ylt& block,
-                                            std::size_t trial_begin) {
+void StreamingMetricsReducer::consume_block(const Ylt& block) {
   const std::size_t bt = block.trial_count();
   for (std::size_t l = 0; l < labels_.size(); ++l) {
     if (!layer_annual_.empty()) {
-      layer_annual_[l].add_block(block.layer_annual(l), bt, trial_begin,
-                                 /*mean_stats=*/spec_.per_layer);
+      layer_annual_[l].add_block(block.layer_annual(l), bt);
     }
     if (!layer_occurrence_.empty()) {
-      layer_occurrence_[l].add_block(block.layer_max_occurrence(l), bt,
-                                     trial_begin, /*mean_stats=*/false);
+      layer_occurrence_[l].add_block(block.layer_max_occurrence(l), bt);
     }
   }
 
@@ -280,15 +272,13 @@ void StreamingMetricsReducer::consume_block(const Ylt& block,
       const double* row = block.layer_annual(l);
       for (std::size_t t = 0; t < bt; ++t) sums[t] += row[t];
     }
-    portfolio_[0].add_block(sums.data(), bt, trial_begin,
-                            /*mean_stats=*/true);
+    portfolio_[0].add_block(sums.data(), bt);
     if (!leave_one_out_.empty()) {
       std::vector<double> without(bt);
       for (std::size_t l = 0; l < labels_.size(); ++l) {
         const double* row = block.layer_annual(l);
         for (std::size_t t = 0; t < bt; ++t) without[t] = sums[t] - row[t];
-        leave_one_out_[l].add_block(without.data(), bt, trial_begin,
-                                    /*mean_stats=*/false);
+        leave_one_out_[l].add_block(without.data(), bt);
       }
     }
   }
@@ -301,29 +291,8 @@ LayerMetrics StreamingMetricsReducer::finalize_sample(
   m.label = std::move(label);
   m.trials = n;
 
-  // Mean family: combine the per-block stats in trial order (Chan's
-  // merge). A single block is the monolithic two-pass result bitwise.
-  BlockStats total;
-  for (const auto& [begin, b] : acc.blocks) {
-    if (total.count == 0) {
-      total = b;
-      continue;
-    }
-    const double na = static_cast<double>(total.count);
-    const double nb = static_cast<double>(b.count);
-    const double nc = na + nb;
-    const double delta = b.mean - total.mean;
-    total.m2 = total.m2 + b.m2 + delta * delta * (na * nb / nc);
-    total.mean = total.mean + delta * (nb / nc);
-    total.sum += b.sum;
-    total.count += b.count;
-  }
-  if (total.count > 0) {
-    m.aal = total.sum / static_cast<double>(total.count);
-    if (total.count >= 2) {
-      m.std_dev = std::sqrt(total.m2 / static_cast<double>(total.count - 1));
-    }
-  }
+  m.aal = acc.moments->mean();
+  m.std_dev = acc.moments->stddev();
 
   if (!desc.empty()) m.max_annual = desc.front();
 

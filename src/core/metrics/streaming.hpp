@@ -11,15 +11,13 @@
 //     top-K multiset is identical, the descending summation order is
 //     identical, and boundary ties are replayed from the ledger.
 //
-//   * Mean statistics (AAL, standard deviation) accumulate per block
-//     (left-to-right within a block, exactly like the monolithic
-//     two-pass code) and combine across blocks in trial order with
-//     Chan's parallel-variance merge. A single block covering all
-//     trials is therefore bitwise-identical to the monolithic
-//     computation; a multi-block stream differs only in the block-sum
-//     association, <= 1e-12 relative at realistic trial counts.
+//   * Mean statistics (AAL, standard deviation) come from one
+//     ExactMoments per sample (core/metrics/stats.hpp): exact Σx and
+//     Σx², rounded once at finish. They depend only on the multiset of
+//     trial losses, so every block plan and completion order — and the
+//     monolithic single block — finishes to the same bits.
 //
-// Memory: O(blocks + layers x reservoir) — the reservoir depth is
+// Memory: O(layers x reservoir) — the reservoir depth is
 // (1 - min p) x trials for quantiles and trials / min T for return
 // periods, so a tail-focused spec streams a million-trial workload in
 // kilobytes per layer.
@@ -27,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,6 +32,7 @@
 
 #include "core/disjoint_ranges.hpp"
 #include "core/metrics/metrics_spec.hpp"
+#include "core/metrics/stats.hpp"
 #include "core/ylt.hpp"
 
 namespace ara::metrics {
@@ -110,35 +108,26 @@ class StreamingMetricsReducer : public YltBlockSink {
   MetricsReport finish(std::size_t covered_trials);
 
  private:
-  /// Mean-family accumulation of one block: left-to-right sum, then
-  /// left-to-right two-pass M2 about the block mean — the exact
-  /// arithmetic of the monolithic mean()/stddev() on that range.
-  struct BlockStats {
-    std::size_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double m2 = 0.0;
-  };
-
-  /// One streamed sample: the tail reservoir plus the per-block mean
-  /// stats keyed by trial_begin (combined in trial order at finish).
-  /// Each sample carries its own lock so concurrent blocks contend
-  /// per sample, not globally (the mutex lives behind a pointer to
-  /// keep the accumulator movable).
+  /// One streamed sample: the tail reservoir plus, for a sample whose
+  /// AAL/std_dev is reported, its exact mean-family sums. Each sample
+  /// carries its own lock so concurrent blocks contend per sample, not
+  /// globally (the mutex lives behind a pointer to keep the
+  /// accumulator movable).
   struct SampleAccumulator {
-    explicit SampleAccumulator(std::size_t reservoir_capacity)
-        : tail(reservoir_capacity), mutex(std::make_unique<std::mutex>()) {}
+    SampleAccumulator(std::size_t reservoir_capacity, bool mean_stats)
+        : tail(reservoir_capacity),
+          moments(mean_stats ? std::make_unique<ExactMoments>() : nullptr),
+          mutex(std::make_unique<std::mutex>()) {}
     TailReservoir tail;
-    std::map<std::size_t, BlockStats> blocks;
+    std::unique_ptr<ExactMoments> moments;  ///< null: no mean stats
     std::unique_ptr<std::mutex> mutex;
 
-    void add_block(const double* values, std::size_t n,
-                   std::size_t trial_begin, bool mean_stats);
+    void add_block(const double* values, std::size_t n);
   };
 
   /// The per-sample reduction of one reserved block (runs outside the
   /// global lock; add_block locks each sample).
-  void consume_block(const Ylt& block, std::size_t trial_begin);
+  void consume_block(const Ylt& block);
 
   /// `desc` is acc's tail already sorted descending — sorted once by
   /// finish() because several consumers share it (per-layer metrics,
@@ -174,7 +163,7 @@ class StreamingMetricsReducer : public YltBlockSink {
 /// Metrics of a fully materialized YLT: the monolithic answer the
 /// streamed one is tested against. Implemented as the reducer fed one
 /// block covering every trial, so both paths share one formula set and
-/// the mean family is bitwise-identical to the classic two-pass code.
+/// the mean family is bitwise the classic mean()/stddev().
 MetricsReport compute_metrics(const Ylt& ylt,
                               std::vector<std::string> layer_labels,
                               const MetricsSpec& spec);

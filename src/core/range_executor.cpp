@@ -140,11 +140,9 @@ AnalysisResult run_ranges(const AnalysisRequest& request,
   // the metric reducer and/or the spill writer and drops it — the
   // layers x trials table is never allocated (DESIGN.md §6). Kept runs
   // compute metrics from the assembled table instead; either way the
-  // numbers agree (bitwise on the order-statistic family, <= 1e-12
-  // relative on the mean family). The reducer is sized for the whole
-  // budget: its reservoirs are exact for any stopped prefix
-  // (streaming.hpp), so finish(executed) below finalizes whatever the
-  // oracle settled on.
+  // numbers agree bitwise. The reducer is sized for the whole budget:
+  // its reservoirs are exact for any stopped prefix (streaming.hpp), so
+  // finish(executed) below finalizes whatever the oracle settled on.
   const bool metrics_feasible =
       request.metrics.any() && layers > 0 && total > 0;
   SpillCleanup spill_cleanup;

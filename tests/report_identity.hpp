@@ -1,7 +1,10 @@
-// Bitwise equality of two metric reports, field by field, for the
-// walls that pin one execution path to another (fleet vs shard pool,
-// any executor vs the shard pool): mean family and block accounting
-// included, so the two runs must have fed the reducer the same blocks.
+// Bitwise equality of two metric reports, for the walls that pin one
+// execution path to another (streamed vs monolithic, fleet vs shard
+// pool, any executor vs the shard pool). Every metric value compares
+// with EXPECT_EQ — the mean family too, since its exact sums make it
+// independent of the block plan — so runs with different plans compare
+// through expect_report_identical alone. expect_same_block_accounting
+// is the separate check that two runs fed the reducer the same blocks.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@ inline void expect_layer_identical(const metrics::LayerMetrics& got,
   EXPECT_EQ(got.max_annual, want.max_annual) << what;
   ASSERT_EQ(got.quantiles.size(), want.quantiles.size()) << what;
   for (std::size_t i = 0; i < want.quantiles.size(); ++i) {
+    EXPECT_EQ(got.quantiles[i].p, want.quantiles[i].p) << what;
     EXPECT_EQ(got.quantiles[i].var, want.quantiles[i].var) << what;
     EXPECT_EQ(got.quantiles[i].tvar, want.quantiles[i].tvar) << what;
   }
@@ -55,6 +59,11 @@ inline void expect_report_identical(const metrics::MetricsReport& got,
     EXPECT_EQ(got.portfolio->marginal_tvar, want.portfolio->marginal_tvar)
         << what;
   }
+}
+
+inline void expect_same_block_accounting(const metrics::MetricsReport& got,
+                                         const metrics::MetricsReport& want,
+                                         const std::string& what) {
   EXPECT_EQ(got.blocks_consumed, want.blocks_consumed) << what;
   EXPECT_EQ(got.max_block_trials, want.max_block_trials) << what;
   EXPECT_EQ(got.reservoir_entries, want.reservoir_entries) << what;

@@ -381,10 +381,11 @@ TEST(DistCoordinator, AdaptiveMatchesSessionAdaptive) {
               want.simulation.simulated_seconds)
         << tag;
 
-    // The whole report, bitwise: with the lease size equal to the shard
-    // size, the fleet feeds the reducer the same blocks the shard pool
-    // does.
+    // The whole report, bitwise, and with the lease size equal to the
+    // shard size the fleet feeds the reducer the same blocks the shard
+    // pool does.
     testdata::expect_report_identical(got.metrics, want.metrics, tag);
+    testdata::expect_same_block_accounting(got.metrics, want.metrics, tag);
   }
 }
 

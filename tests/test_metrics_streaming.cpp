@@ -1,14 +1,14 @@
 // The streamed-metrics identity wall (DESIGN.md §6): a metric-only
 // (YltRetention::kDiscard) sharded run must answer a MetricsSpec with
-// the same numbers as computing from the monolithic YLT — bitwise for
-// the order-statistic family (VaR/TVaR/PML/OEP/EP-curve/max, whose
-// reduction order is pinned), <= 1e-12 relative for the mean family
-// (AAL/stddev, whose block-sum association differs) — for every engine
-// kind and shard size, while never materializing the layers x trials
-// table (asserted by block accounting). Plus the kSpillToFile round
-// trip: the spilled file is byte-identical to saving the monolithic
-// table, and re-reducing it block by block through YltChunkReader
-// reproduces the metrics.
+// the same numbers as computing from the monolithic YLT — bitwise, the
+// order-statistic family (VaR/TVaR/PML/OEP/EP-curve/max, whose
+// reduction order is pinned) and the mean family (AAL/stddev, whose
+// exact sums have no order) alike — for every engine kind and shard
+// size, while never materializing the layers x trials table (asserted
+// by block accounting). Plus the kSpillToFile round trip: the spilled
+// file is byte-identical to saving the monolithic table, and
+// re-reducing it block by block through YltChunkReader reproduces the
+// metrics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,13 +26,16 @@
 #include "core/session.hpp"
 #include "io/binary.hpp"
 #include "io/yet_chunk.hpp"
+#include "report_identity.hpp"
+#include "synth/distributions.hpp"
 #include "synth/scenarios.hpp"
 
 namespace ara {
 namespace {
 
+using testdata::expect_report_identical;
+
 constexpr std::size_t kTrials = 26;
-constexpr double kRelTol = 1e-12;
 
 std::vector<std::size_t> shard_sizes(std::size_t trials) {
   return {1, 7, trials / 2, trials, trials + 1};
@@ -49,62 +52,6 @@ MetricsSpec wall_spec() {
   spec.ep_curve_points = 5;
   spec.capital_allocation = true;
   return spec;
-}
-
-void expect_near_rel(double a, double b, const std::string& what) {
-  EXPECT_NEAR(a, b, kRelTol * (1.0 + std::abs(b))) << what;
-}
-
-// Order-statistic family bitwise, mean family to tolerance.
-void expect_metrics_identical(const metrics::LayerMetrics& got,
-                              const metrics::LayerMetrics& want,
-                              const std::string& what) {
-  EXPECT_EQ(got.label, want.label) << what;
-  EXPECT_EQ(got.trials, want.trials) << what;
-  expect_near_rel(got.aal, want.aal, what + " aal");
-  expect_near_rel(got.std_dev, want.std_dev, what + " std_dev");
-  EXPECT_EQ(got.max_annual, want.max_annual) << what;
-  ASSERT_EQ(got.quantiles.size(), want.quantiles.size()) << what;
-  for (std::size_t i = 0; i < want.quantiles.size(); ++i) {
-    EXPECT_EQ(got.quantiles[i].p, want.quantiles[i].p) << what;
-    EXPECT_EQ(got.quantiles[i].var, want.quantiles[i].var)
-        << what << " VaR p=" << want.quantiles[i].p;
-    EXPECT_EQ(got.quantiles[i].tvar, want.quantiles[i].tvar)
-        << what << " TVaR p=" << want.quantiles[i].p;
-  }
-  ASSERT_EQ(got.pml.size(), want.pml.size()) << what;
-  for (std::size_t i = 0; i < want.pml.size(); ++i) {
-    EXPECT_EQ(got.pml[i].loss, want.pml[i].loss)
-        << what << " PML T=" << want.pml[i].years;
-  }
-  ASSERT_EQ(got.oep.size(), want.oep.size()) << what;
-  for (std::size_t i = 0; i < want.oep.size(); ++i) {
-    EXPECT_EQ(got.oep[i].loss, want.oep[i].loss)
-        << what << " OEP T=" << want.oep[i].years;
-  }
-  EXPECT_EQ(got.aep_curve, want.aep_curve) << what;
-  EXPECT_EQ(got.oep_curve, want.oep_curve) << what;
-}
-
-void expect_report_identical(const metrics::MetricsReport& got,
-                             const metrics::MetricsReport& want,
-                             const std::string& what) {
-  ASSERT_EQ(got.layers.size(), want.layers.size()) << what;
-  for (std::size_t l = 0; l < want.layers.size(); ++l) {
-    expect_metrics_identical(got.layers[l], want.layers[l],
-                             what + "/layer" + std::to_string(l));
-  }
-  ASSERT_EQ(got.portfolio.has_value(), want.portfolio.has_value()) << what;
-  if (want.portfolio) {
-    expect_metrics_identical(got.portfolio->totals, want.portfolio->totals,
-                             what + "/portfolio");
-    // Capital allocation is pure order-statistic arithmetic: bitwise.
-    EXPECT_EQ(got.portfolio->diversification_benefit_tvar,
-              want.portfolio->diversification_benefit_tvar)
-        << what;
-    EXPECT_EQ(got.portfolio->marginal_tvar, want.portfolio->marginal_tvar)
-        << what;
-  }
 }
 
 AnalysisRequest request_for(const Portfolio& portfolio, const Yet& yet) {
@@ -155,6 +102,58 @@ TEST(StreamedMetrics, DiscardIdentityWallAllKindsAllShardSizes) {
       }
       // The reservoirs hold the spec's tail, not the trial dimension.
       EXPECT_GT(result.metrics.reservoir_entries, 0u) << what;
+    }
+  }
+}
+
+// (a2) The mean family's own wall. Layer 0 is 2^53 followed by 1,000
+// ones, which a left-to-right double sum drops one by one; layer 1 is
+// seeded lognormal, and the portfolio adds the two. Monolithic, in
+// blocks of {1, 7, T/2, T+1}, and with the blocks consumed in reverse
+// trial order, every report is the same bits, and layer 0's AAL is its
+// exact mean rounded once.
+TEST(StreamedMetrics, MeanFamilyIsExactForEveryBlockPlan) {
+  constexpr std::size_t kT = 1001;
+  Ylt ylt(2, kT);
+  synth::Xoshiro256StarStar rng(4242);
+  synth::LognormalSampler lognormal =
+      synth::LognormalSampler::from_mean_cv(1.0e6, 2.0);
+  for (std::size_t t = 0; t < kT; ++t) {
+    ylt.annual_loss(0, t) = t == 0 ? 0x1p53 : 1.0;
+    ylt.annual_loss(1, t) = lognormal.sample(rng);
+    for (std::size_t l = 0; l < 2; ++l) {
+      ylt.max_occurrence_loss(l, t) = ylt.annual_loss(l, t);
+    }
+  }
+  const std::vector<std::string> labels = {"absorbing", "lognormal"};
+
+  const metrics::MetricsReport mono =
+      metrics::compute_metrics(ylt, labels, wall_spec());
+  EXPECT_EQ(mono.layers[0].aal, (0x1p53 + 1000.0) / 1001.0);
+
+  const auto rows = [&](std::size_t begin, std::size_t end) {
+    Ylt block(2, end - begin);
+    for (std::size_t l = 0; l < 2; ++l) {
+      for (std::size_t t = begin; t < end; ++t) {
+        block.annual_loss(l, t - begin) = ylt.annual_loss(l, t);
+        block.max_occurrence_loss(l, t - begin) = ylt.max_occurrence_loss(l, t);
+      }
+    }
+    return block;
+  };
+  for (const std::size_t size : {std::size_t{1}, std::size_t{7}, kT / 2,
+                                 kT + 1}) {
+    for (const bool reversed : {false, true}) {
+      std::vector<std::size_t> begins;
+      for (std::size_t b = 0; b < kT; b += size) begins.push_back(b);
+      if (reversed) std::reverse(begins.begin(), begins.end());
+      metrics::StreamingMetricsReducer reducer(labels, kT, wall_spec());
+      for (const std::size_t b : begins) {
+        reducer.consume(rows(b, std::min(b + size, kT)), b);
+      }
+      expect_report_identical(reducer.finish(), mono,
+                              "block=" + std::to_string(size) +
+                                  (reversed ? "/reversed" : ""));
     }
   }
 }

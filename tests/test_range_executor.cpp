@@ -3,7 +3,8 @@
 // in reverse order from two threads must produce the result the
 // session's shard pool produces — bitwise, rows, accounting, adaptive
 // outcome and every metric — for fixed and adaptive runs, each kept
-// and discarded.
+// and discarded. Run on a finer block plan than the pool's, it must
+// still report every metric bitwise.
 #include "core/range_executor.hpp"
 
 #include <gtest/gtest.h>
@@ -104,6 +105,7 @@ void expect_same_analysis(const AnalysisResult& got,
   }
 
   testdata::expect_report_identical(got.metrics, want.metrics, what);
+  testdata::expect_same_block_accounting(got.metrics, want.metrics, what);
 }
 
 TEST(RangeExecutor, DeliveryOrderNeverChangesTheResult) {
@@ -145,6 +147,46 @@ TEST(RangeExecutor, DeliveryOrderNeverChangesTheResult) {
         EXPECT_TRUE(want.stopped_early) << what;
       }
       expect_same_analysis(got, want, what);
+    }
+  }
+}
+
+// The reducer's exact sums leave the report nothing to learn from the
+// block plan: a fake executor running shards of kBlock / 3 reports, bit
+// for bit, what the shard pool reports at kBlock.
+TEST(RangeExecutor, BlockPlanNeverChangesTheReport) {
+  const synth::Scenario s = synth::tiny(3000, 43);
+  ExecutionPolicy policy =
+      ExecutionPolicy::with_engine(EngineKind::kSequentialFused);
+  policy.shard_trials = kBlock;
+  AnalysisSession session(policy);
+  ExecutionPolicy fine = policy;
+  fine.shard_trials = kBlock / 3;
+  const std::unique_ptr<Engine> engine = make_engine(fine);
+  const ShardPlan plan = session.shard_plan(s.portfolio, s.yet, fine);
+  ASSERT_GT(plan.shard_count(),
+            session.shard_plan(s.portfolio, s.yet, policy).shard_count());
+
+  for (const YltRetention retention :
+       {YltRetention::kKeep, YltRetention::kDiscard}) {
+    const std::string what =
+        retention == YltRetention::kKeep ? "keep" : "discard";
+    AnalysisRequest request;
+    request.portfolio = &s.portfolio;
+    request.yet = &s.yet;
+    request.metrics = MetricsSpec::all();
+    request.metrics.ep_curve_points = 4;
+    request.ylt_retention = retention;
+
+    const AnalysisResult want = session.run(request);
+    ReversingExecutor reversing(*engine, s.portfolio, s.yet);
+    const AnalysisResult got = run_ranges(request, *engine, plan, reversing);
+    EXPECT_EQ(got.simulation.ylt.annual_raw(), want.simulation.ylt.annual_raw())
+        << what;
+    testdata::expect_report_identical(got.metrics, want.metrics, what);
+    if (retention == YltRetention::kDiscard) {
+      EXPECT_GT(got.metrics.blocks_consumed, want.metrics.blocks_consumed)
+          << what;
     }
   }
 }

@@ -93,8 +93,7 @@ TEST(SessionBatch, DeterministicAndOrderIndependent) {
     const AnalysisResult solo = session.run(requests[i]);
     expect_bitwise_equal_ylt(batch[i].simulation.ylt, solo.simulation.ylt);
     ASSERT_EQ(batch[i].metrics.layers.size(), 1u);
-    EXPECT_DOUBLE_EQ(batch[i].metrics.layers[0].aal,
-                     solo.metrics.layers[0].aal);
+    EXPECT_EQ(batch[i].metrics.layers[0].aal, solo.metrics.layers[0].aal);
     // The by-name lookup resolves to the same entry as the index.
     const metrics::LayerMetrics* by_name =
         batch[i].metrics_for(books[i].layers()[0].name);
@@ -348,8 +347,7 @@ TEST(SessionBatch, SharedYetBatchWithExtensionsUsesTableCache) {
     ASSERT_EQ(batch[i].metrics.layers.size(), 1u);
     const AnalysisResult solo = session.run(requests[i]);
     expect_bitwise_equal_ylt(batch[i].simulation.ylt, solo.simulation.ylt);
-    EXPECT_DOUBLE_EQ(batch[i].metrics.layers[0].aal,
-                     solo.metrics.layers[0].aal);
+    EXPECT_EQ(batch[i].metrics.layers[0].aal, solo.metrics.layers[0].aal);
   }
   EXPECT_EQ(batch[3].simulation.engine_name, "secondary_uncertainty");
   expect_bitwise_equal_ylt(batch[3].simulation.ylt,

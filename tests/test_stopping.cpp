@@ -2,12 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
+#include "core/metrics/stats.hpp"
 #include "synth/distributions.hpp"
 #include "synth/rng.hpp"
+
+// Heap allocations of at least g_watch_bytes, counted process-wide, so
+// a test can show that a call makes no copy of a large sample.
+namespace {
+std::atomic<std::size_t> g_watch_bytes{~std::size_t{0}};
+std::atomic<std::size_t> g_watched_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t bytes) {
+  if (bytes >= g_watch_bytes.load()) ++g_watched_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace ara::metrics {
 namespace {
@@ -99,12 +118,31 @@ TEST(EvaluateTarget, AalMatchesClosedForm) {
   const double z = z_for_confidence(0.95);
   const TargetStatus s =
       evaluate_target({StopMetric::kAal, 0.0}, losses, z, 0.05, 100, 7);
-  // The estimate is computed on the sorted sample, so it may differ
-  // from the trial-order sum by rounding only.
+  // The trial-order double sum differs from the exact one by rounding
+  // only; the estimate and its error are the report's own sums.
   EXPECT_NEAR(s.estimate, mean, 1e-6 * mean);
+  EXPECT_EQ(s.estimate, metrics::mean(losses));
+  EXPECT_EQ(s.std_error, metrics::stddev(losses) /
+                             std::sqrt(static_cast<double>(losses.size())));
   EXPECT_GT(s.std_error, 0.0);
   EXPECT_DOUBLE_EQ(s.half_width, z * s.std_error);
   EXPECT_DOUBLE_EQ(s.relative_half_width, s.half_width / s.estimate);
+}
+
+TEST(EvaluateTarget, OnlyOrderStatisticTargetsCopyTheSample) {
+  const auto losses = lognormal_sample(1 << 16, 6);
+  const auto copies = [&](StopMetric metric) {
+    g_watched_allocations = 0;
+    g_watch_bytes = losses.size() * sizeof(double);
+    const TargetStatus s =
+        evaluate_target({metric, 0.99}, losses, 1.96, 0.05, 2, 3);
+    g_watch_bytes = ~std::size_t{0};
+    EXPECT_GT(s.estimate, 0.0);
+    return g_watched_allocations.load();
+  };
+  EXPECT_EQ(copies(StopMetric::kAal), 0u);
+  EXPECT_GT(copies(StopMetric::kVar), 0u);
+  EXPECT_GT(copies(StopMetric::kTvar), 0u);
 }
 
 TEST(EvaluateTarget, ConstantSampleIsImmediatelySatisfied) {

@@ -73,9 +73,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -206,15 +208,24 @@ std::string get(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
+// Every integer flag is a count or a size: the whole value must parse
+// and be non-negative, so "2k" or "-1" is an error rather than 2, or a
+// cast to 2^64 - 1 by the caller.
 long get_long(const std::map<std::string, std::string>& flags,
               const std::string& key, long fallback) {
   const auto it = flags.find(key);
   if (it == flags.end()) return fallback;
+  const std::string& value = it->second;
+  std::size_t consumed = 0;
+  long parsed = -1;
   try {
-    return std::stol(it->second);
+    parsed = std::stol(value, &consumed);
   } catch (const std::exception&) {
-    usage("bad integer for --" + key + ": " + it->second);
   }
+  if (consumed != value.size() || parsed < 0) {
+    throw std::invalid_argument("bad integer for --" + key + ": " + value);
+  }
+  return parsed;
 }
 
 double get_double(const std::map<std::string, std::string>& flags,
@@ -548,9 +559,14 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   policy.gpu_count = static_cast<std::size_t>(get_long(flags, "gpus", 4));
   policy.shard_trials =
       static_cast<std::size_t>(get_long(flags, "shard-trials", 0));
-  policy.memory_budget_bytes =
-      static_cast<std::size_t>(get_long(flags, "memory-budget", 0)) *
-      (1ULL << 20);  // flag is in MiB
+  const auto budget_mib =
+      static_cast<std::size_t>(get_long(flags, "memory-budget", 0));
+  if (budget_mib > std::numeric_limits<std::size_t>::max() >> 20) {
+    throw std::invalid_argument("--memory-budget " +
+                                std::to_string(budget_mib) +
+                                " MiB overflows a byte count");
+  }
+  policy.memory_budget_bytes = budget_mib << 20;  // flag is in MiB
 
   // --simd auto|scalar|force[:N]. The policy fields are authoritative
   // over any engine config (engine_factory stamps them into the
