@@ -7,8 +7,6 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/engine_factory.hpp"
-#include "core/gpu_engines.hpp"
 
 namespace {
 
@@ -21,29 +19,18 @@ struct Toggle {
 
 double model_seconds(const Toggle& t) {
   const simgpu::GpuCostModel model(simgpu::tesla_c2075());
-  OpCounts ops = bench::paper_ops();
-
-  simgpu::KernelTraits traits;
-  traits.loss_bytes = t.use_float ? 4 : 8;
-  traits.chunked = t.chunking;
-  traits.mlp_per_thread = t.chunking ? 16 : 1;
-  traits.scratch_in_registers = t.registers;
-  traits.scratch_in_global = !t.chunking && !t.registers;
-  traits.unrolled = t.unroll;
-
-  const std::uint64_t scratch =
-      ops.occurrence_ops * kScratchTouchesPerEvent;
-  if (traits.scratch_in_global) {
-    ops.global_updates = scratch;
-  } else if (!traits.scratch_in_registers) {
-    ops.shared_accesses = scratch;
-  }
-
+  EngineConfig cfg = paper_config(EngineKind::kGpuOptimized);
+  cfg.chunking = t.chunking;
+  cfg.unroll = t.unroll;
+  cfg.use_float = t.use_float;
+  cfg.use_registers = t.registers;
+  const KernelPlan plan =
+      optimized_kernel_plan(cfg, bench::kPaperTrials, bench::paper_ops());
   // Chunked kernels are bound to small blocks by shared memory; the
   // unchunked variants use the basic kernel's 256-thread blocks.
-  const auto launch = t.chunking ? bench::optimized_launch(32)
-                                 : bench::basic_launch(256);
-  return model.estimate(launch, traits, ops).total_seconds;
+  const simgpu::LaunchConfig launch =
+      t.chunking ? plan.launch : bench::paper_basic_plan().launch;
+  return model.estimate(launch, plan.traits, plan.ops).total_seconds;
 }
 
 }  // namespace
@@ -85,27 +72,20 @@ int main() {
   // threads/block on the full workload.
   {
     const simgpu::GpuCostModel model(simgpu::tesla_c2075());
-    const OpCounts independent_ops =
-        bench::with_global_scratch(bench::paper_ops());
-    const double ti = model
-                          .estimate(bench::basic_launch(256),
-                                    bench::basic_traits(), independent_ops)
-                          .total_seconds;
+    const KernelPlan independent = bench::paper_basic_plan();
+    const double ti = bench::price(model, independent).total_seconds;
     // Combined layout: cooperative row loads serialise on the shared-
     // memory request/deliver handshake (2 extra shared accesses per
     // lookup, MLP collapses to 1; see GpuCombinedTableEngine).
-    simgpu::KernelTraits combined_traits = bench::basic_traits();
-    combined_traits.chunked = true;
-    combined_traits.scratch_in_global = false;
-    combined_traits.cooperative_load_penalty = 0.75;
-    OpCounts combined_ops = bench::paper_ops();
-    combined_ops.shared_accesses =
-        combined_ops.elt_lookups * 2 +
-        combined_ops.occurrence_ops * kScratchTouchesPerEvent;
-    const double tc = model
-                          .estimate(bench::basic_launch(256),
-                                    combined_traits, combined_ops)
-                          .total_seconds;
+    KernelPlan combined = independent;
+    combined.traits.chunked = true;
+    combined.traits.scratch_in_global = false;
+    combined.traits.cooperative_load_penalty = 0.75;
+    combined.ops = bench::paper_ops();
+    combined.ops.shared_accesses =
+        combined.ops.elt_lookups * 2 +
+        combined.ops.occurrence_ops * kScratchTouchesPerEvent;
+    const double tc = bench::price(model, combined).total_seconds;
     std::cout << "data-structure comparison (model, full scale): "
                  "independent tables "
               << perf::format_seconds(ti) << " vs combined table "

@@ -5,7 +5,9 @@
 //     paper gives one),
 //   * the MODEL column   — the cost model evaluated at the paper's full
 //     workload (1M trials x 1000 events, 15 ELTs, 2M-event catalogue)
-//     on the paper's hardware profiles,
+//     on the paper's hardware profiles; the GPU rows price the engines'
+//     own kernel plans (core/gpu_engines.hpp) at the paper's
+//     configuration,
 //   * a measured footer  — real wall-clock of the same engine running
 //     the scaled-down workload on this host (functional execution).
 //
@@ -18,6 +20,7 @@
 #include <string>
 
 #include "core/engine.hpp"
+#include "core/gpu_engines.hpp"
 #include "core/session.hpp"
 #include "perf/report.hpp"
 #include "simgpu/gpu_cost_model.hpp"
@@ -46,53 +49,31 @@ inline OpCounts scale_ops(OpCounts ops, double factor) {
   return ops;
 }
 
-/// Launch shape of the basic kernel over 1M trials.
-inline simgpu::LaunchConfig basic_launch(unsigned block,
-                                         std::size_t trials = 1'000'000) {
-  simgpu::LaunchConfig c;
-  c.block_threads = block;
-  c.grid_blocks = static_cast<unsigned>((trials + block - 1) / block);
-  c.regs_per_thread = 20;
-  return c;
+/// Trials of the paper's headline workload (of 1000 events each).
+constexpr std::size_t kPaperTrials = 1'000'000;
+
+/// Simulated cost of one launch of `plan` on `model`'s device. The
+/// plans (core/gpu_engines.hpp) are the ones the engines charge, so a
+/// figure prices exactly the kernel an engine runs.
+inline simgpu::KernelCost price(const simgpu::GpuCostModel& model,
+                                const KernelPlan& plan) {
+  return model.estimate(plan.launch, plan.traits, plan.ops);
 }
 
-inline simgpu::KernelTraits basic_traits() {
-  simgpu::KernelTraits t;
-  t.loss_bytes = 8;
-  t.mlp_per_thread = 1;
-  t.chunked = false;
-  t.scratch_in_global = true;
-  return t;
+/// The basic kernel at the paper's configuration (256 threads/block)
+/// over the headline workload.
+inline KernelPlan paper_basic_plan() {
+  return basic_kernel_plan(paper_config(EngineKind::kGpuBasic), kPaperTrials,
+                           paper_ops());
 }
 
-/// Launch shape of the optimised kernel (88-event chunks).
-inline simgpu::LaunchConfig optimized_launch(unsigned block,
-                                             std::size_t trials = 1'000'000,
-                                             unsigned chunk = 88) {
-  simgpu::LaunchConfig c;
-  c.block_threads = block;
-  c.grid_blocks = static_cast<unsigned>((trials + block - 1) / block);
-  c.shared_bytes_per_block =
-      static_cast<std::size_t>(block) * chunk * 8 + 256;
-  c.regs_per_thread = 63;
-  return c;
-}
-
-inline simgpu::KernelTraits optimized_traits() {
-  simgpu::KernelTraits t;
-  t.loss_bytes = 4;
-  t.mlp_per_thread = 16;
-  t.chunked = true;
-  t.scratch_in_global = false;
-  t.scratch_in_registers = true;
-  t.unrolled = true;
-  return t;
-}
-
-/// Basic-kernel scratch traffic (Algorithm 1's lx/lox in global mem).
-inline OpCounts with_global_scratch(OpCounts ops) {
-  ops.global_updates = ops.occurrence_ops * kScratchTouchesPerEvent;
-  return ops;
+/// The optimised kernel at the paper's configuration (32 threads/block,
+/// 88-event chunks, float tables) over one device's share of the
+/// headline workload split evenly across `devices` GPUs.
+inline KernelPlan paper_optimized_plan(unsigned devices = 1) {
+  return optimized_kernel_plan(paper_config(EngineKind::kGpuOptimized),
+                               kPaperTrials / devices,
+                               scale_ops(paper_ops(), 1.0 / devices));
 }
 
 /// Scale factor for the measured footer runs; override with

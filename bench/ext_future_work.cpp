@@ -47,16 +47,10 @@ int main() {
     // instead of 1, but 15 ELTs drop from 120 MB to ~9 MB of device
     // memory each (paper scale), freeing room for more trials per GPU.
     const simgpu::GpuCostModel model(simgpu::tesla_m2090());
-    OpCounts ops = bench::scale_ops(bench::paper_ops(), 0.25);
-    const double t_direct =
-        model.estimate(bench::optimized_launch(32, 250'000),
-                       bench::optimized_traits(), ops)
-            .total_seconds;
-    ops.elt_lookups *= 3;  // bit test + rank + packed-array access
-    const double t_compressed =
-        model.estimate(bench::optimized_launch(32, 250'000),
-                       bench::optimized_traits(), ops)
-            .total_seconds;
+    KernelPlan plan = bench::paper_optimized_plan(4);
+    const double t_direct = bench::price(model, plan).total_seconds;
+    plan.ops.elt_lookups *= 3;  // bit test + rank + packed-array access
+    const double t_compressed = bench::price(model, plan).total_seconds;
     const double mem_ratio = static_cast<double>(direct.memory_bytes()) /
                              static_cast<double>(compressed.memory_bytes());
     std::cout << "\nmodelled 4-GPU runtime: direct "

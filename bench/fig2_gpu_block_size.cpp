@@ -5,8 +5,6 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/engine_factory.hpp"
-#include "core/gpu_engines.hpp"
 
 int main() {
   using namespace ara;
@@ -14,13 +12,15 @@ int main() {
                       "Fig. 2 (threads per block vs time, C2075)");
 
   const simgpu::GpuCostModel model(simgpu::tesla_c2075());
-  const OpCounts ops = bench::with_global_scratch(bench::paper_ops());
+  EngineConfig cfg = paper_config(EngineKind::kGpuBasic);
 
   perf::Table table({"threads/block", "occupancy", "model time", "paper"});
   for (unsigned block : {64u, 128u, 192u, 256u, 320u, 384u, 448u, 512u,
                          576u, 640u}) {
-    const simgpu::KernelCost cost =
-        model.estimate(bench::basic_launch(block), bench::basic_traits(), ops);
+    cfg.block_threads = block;
+    const simgpu::KernelCost cost = bench::price(
+        model,
+        basic_kernel_plan(cfg, bench::kPaperTrials, bench::paper_ops()));
     std::string paper = "-";
     if (block == 256) paper = "38.47 s (best)";
     table.add_row({std::to_string(block),

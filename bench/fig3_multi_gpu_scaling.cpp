@@ -4,8 +4,6 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/engine_factory.hpp"
-#include "core/gpu_engines.hpp"
 
 int main() {
   using namespace ara;
@@ -16,11 +14,8 @@ int main() {
 
   auto device_seconds = [&](unsigned gpus) {
     // Even trial decomposition: each device runs 1/gpus of the work.
-    const OpCounts ops = bench::scale_ops(bench::paper_ops(), 1.0 / gpus);
-    const simgpu::KernelCost cost = model.estimate(
-        bench::optimized_launch(32, 1'000'000 / gpus),
-        bench::optimized_traits(), ops);
-    return cost.total_seconds;
+    return bench::price(model, bench::paper_optimized_plan(gpus))
+        .total_seconds;
   };
 
   const double t1 = device_seconds(1);

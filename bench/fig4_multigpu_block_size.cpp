@@ -6,8 +6,6 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/engine_factory.hpp"
-#include "core/gpu_engines.hpp"
 
 int main() {
   using namespace ara;
@@ -16,27 +14,29 @@ int main() {
 
   const simgpu::GpuCostModel model(simgpu::tesla_m2090());
   const OpCounts per_device = bench::scale_ops(bench::paper_ops(), 0.25);
+  EngineConfig cfg = paper_config(EngineKind::kMultiGpu);
 
   perf::Table table(
       {"threads/block", "shared/block", "blocks/SM", "model time", "paper"});
   for (unsigned block : {16u, 32u, 64u, 128u}) {
-    const auto launch = bench::optimized_launch(block, 250'000);
-    const simgpu::KernelCost cost =
-        model.estimate(launch, bench::optimized_traits(), per_device);
+    cfg.block_threads = block;
+    const KernelPlan plan =
+        optimized_kernel_plan(cfg, bench::kPaperTrials / 4, per_device);
+    const simgpu::KernelCost cost = bench::price(model, plan);
     std::string paper = "-";
     if (block == 32) paper = "4.35 s (best, = warp size)";
     if (block == 64) paper = "no improvement (shared mem)";
     if (block == 128) paper = "not runnable";
     if (!cost.feasible) {
       table.add_row({std::to_string(block),
-                     std::to_string(launch.shared_bytes_per_block) + " B",
+                     std::to_string(plan.launch.shared_bytes_per_block) + " B",
                      "-", std::string("infeasible: ") +
                               cost.infeasible_reason,
                      paper});
       continue;
     }
     table.add_row({std::to_string(block),
-                   std::to_string(launch.shared_bytes_per_block) + " B",
+                   std::to_string(plan.launch.shared_bytes_per_block) + " B",
                    std::to_string(cost.occupancy.blocks_per_sm),
                    perf::format_seconds(cost.total_seconds), paper});
   }

@@ -23,19 +23,11 @@ int main() {
   const double t_seq = cpu.total_seconds(ops, 1);
   const double t_mc = cpu.total_seconds(ops, 8, 256);
   const double t_basic =
-      c2075
-          .estimate(bench::basic_launch(256), bench::basic_traits(),
-                    bench::with_global_scratch(ops))
-          .total_seconds;
-  const double t_opt = c2075
-                           .estimate(bench::optimized_launch(32),
-                                     bench::optimized_traits(), ops)
-                           .total_seconds;
-  const double t_multi = m2090
-                             .estimate(bench::optimized_launch(32, 250'000),
-                                       bench::optimized_traits(),
-                                       bench::scale_ops(ops, 0.25))
-                             .total_seconds;
+      bench::price(c2075, bench::paper_basic_plan()).total_seconds;
+  const double t_opt =
+      bench::price(c2075, bench::paper_optimized_plan()).total_seconds;
+  const double t_multi =
+      bench::price(m2090, bench::paper_optimized_plan(4)).total_seconds;
 
   struct Row {
     const char* name;

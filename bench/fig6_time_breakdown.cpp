@@ -30,22 +30,11 @@ int main() {
   rows.push_back({"sequential CPU", cpu.estimate(ops, 1)});
   rows.push_back({"multi-core CPU", cpu.estimate(ops, 8, 256)});
   rows.push_back(
-      {"basic GPU",
-       c2075
-           .estimate(bench::basic_launch(256), bench::basic_traits(),
-                     bench::with_global_scratch(ops))
-           .phases});
+      {"basic GPU", bench::price(c2075, bench::paper_basic_plan()).phases});
   rows.push_back({"optimised GPU",
-                  c2075
-                      .estimate(bench::optimized_launch(32),
-                                bench::optimized_traits(), ops)
-                      .phases});
+                  bench::price(c2075, bench::paper_optimized_plan()).phases});
   rows.push_back({"4x GPU (per device)",
-                  m2090
-                      .estimate(bench::optimized_launch(32, 250'000),
-                                bench::optimized_traits(),
-                                bench::scale_ops(ops, 0.25))
-                      .phases});
+                  bench::price(m2090, bench::paper_optimized_plan(4)).phases});
 
   perf::Table table({"implementation", "total", "fetch events",
                      "loss lookup", "financial terms", "layer terms"});

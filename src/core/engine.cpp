@@ -4,34 +4,9 @@
 
 namespace ara {
 
-OpCounts count_algorithm_ops(const Portfolio& portfolio, const Yet& yet) {
-  if (portfolio.catalogue_size() != yet.catalogue_size()) {
-    throw std::invalid_argument(
-        "count_algorithm_ops: portfolio and YET index different catalogues");
-  }
-  const auto occurrences = static_cast<std::uint64_t>(yet.occurrence_count());
-  OpCounts ops;
-  for (const Layer& layer : portfolio.layers()) {
-    const auto elts = static_cast<std::uint64_t>(layer.elt_indices.size());
-    ops.event_fetches += occurrences;
-    ops.elt_lookups += elts * occurrences;
-    ops.financial_ops += elts * occurrences;
-    ops.occurrence_ops += occurrences;
-    ops.aggregate_ops += occurrences;
-  }
-  return ops;
-}
-
 OpCounts count_fused_algorithm_ops(const Portfolio& portfolio,
                                    const Yet& yet) {
-  OpCounts ops = count_algorithm_ops(portfolio, yet);
-  // The trial-major sweep reads each occurrence exactly once for all
-  // layers; every other count is per (layer, event) work that the
-  // fusion does not change.
-  if (portfolio.layer_count() > 0) {
-    ops.event_fetches = static_cast<std::uint64_t>(yet.occurrence_count());
-  }
-  return ops;
+  return range_fused_ops(portfolio, yet, 0, yet.trial_count());
 }
 
 OpCounts range_ops(const Portfolio& p, const Yet& yet,

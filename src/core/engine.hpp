@@ -166,31 +166,28 @@ class Engine {
   }
 };
 
-/// Algorithmic operation counts of one full analysis in the paper's
-/// layer-major formulation (identical for every such engine — the
-/// algorithm does the same work everywhere; only the memory placement
-/// differs). `global_updates` / `shared_accesses` are zero here;
-/// engines fill them according to where their per-event scratch lives.
-OpCounts count_algorithm_ops(const Portfolio& portfolio, const Yet& yet);
-
-/// Operation counts of the trial-major fused sweep: the same algorithm
-/// (identical lookups, financial/occurrence/aggregate applications per
-/// layer) but the YET is streamed once for all layers, so
-/// `event_fetches` is the occurrence count instead of occurrences x
-/// layers. Equal to `count_algorithm_ops` on single-layer portfolios.
+/// Operation counts of one full analysis in the trial-major fused
+/// sweep: `range_fused_ops` over every trial.
 OpCounts count_fused_algorithm_ops(const Portfolio& portfolio, const Yet& yet);
 
 /// Operation counts of a contiguous trial range (one shard's or one
-/// device's share of the algorithm's work) in the layer-major
-/// formulation. Counts are integers derived from the YET's offset
-/// table, so contiguous ranges sum *exactly* to the whole-YET counts —
-/// the property the shard merge relies on.
+/// device's share of the algorithm's work) in the paper's layer-major
+/// formulation (identical for every such engine — the algorithm does
+/// the same work everywhere; only the memory placement differs).
+/// `global_updates` / `shared_accesses` are zero here; engines fill
+/// them according to where their per-event scratch lives. Counts are
+/// integers derived from the YET's offset table, so contiguous ranges
+/// sum *exactly* to the whole-YET counts — the property the shard
+/// merge relies on.
 OpCounts range_ops(const Portfolio& p, const Yet& yet,
                    std::size_t trial_begin, std::size_t trial_end);
 
-/// Trial-major variant of `range_ops`: the range's occurrences are
-/// fetched once for all layers (one fused multi-layer launch instead
-/// of one launch per layer); all other counts are unchanged.
+/// Trial-major variant of `range_ops`: the same algorithm (identical
+/// lookups, financial/occurrence/aggregate applications per layer),
+/// but the range's occurrences are fetched once for all layers (one
+/// fused multi-layer launch instead of one launch per layer), so
+/// `event_fetches` is the occurrence count instead of occurrences x
+/// layers.
 OpCounts range_fused_ops(const Portfolio& p, const Yet& yet,
                          std::size_t trial_begin, std::size_t trial_end);
 

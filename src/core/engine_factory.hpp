@@ -5,7 +5,8 @@
 // description of *how* to execute (which engine, which tunables, which
 // devices, how many of them). The policy is also the unit the
 // AnalysisSession façade (core/session.hpp) consumes — including its
-// kAuto mode, where the cost models pick the engine.
+// kAuto mode, where a cost-only run of every kind's engine prices it
+// and the cheapest feasible one runs.
 #pragma once
 
 #include <memory>
@@ -43,9 +44,9 @@ struct ExecutionPolicy {
   /// concrete kind).
   static constexpr std::optional<EngineKind> kAuto = std::nullopt;
 
-  /// Which implementation to run. kAuto = predict the simulated cost
-  /// of every kind with the cpu/gpu cost models and take the cheapest
-  /// feasible one.
+  /// Which implementation to run. kAuto = run every kind's engine
+  /// cost-only on the workload (its exact simulated time, without the
+  /// sweep) and take the cheapest kind the simulated devices accept.
   std::optional<EngineKind> engine = EngineKind::kMultiGpu;
 
   /// Tunables. nullopt = paper_config() of the resolved engine kind,
@@ -101,9 +102,9 @@ struct ExecutionPolicy {
 /// config if set, otherwise the paper's configuration for that kind.
 /// Throws std::invalid_argument naming the field for a zero launch
 /// shape: block_threads == 0, or chunk_size == 0 with chunking on.
-/// make_engine and the kAuto cost prediction both resolve through
-/// here, so neither can reach a division by zero or an infinite
-/// simulated time.
+/// make_engine resolves through here — kAuto's pricing too, since it
+/// runs the engines make_engine builds — so no engine can reach a
+/// division by zero or an infinite simulated time.
 EngineConfig resolved_config(const ExecutionPolicy& policy, EngineKind kind);
 
 /// Builds the engine a policy describes. The policy must name a

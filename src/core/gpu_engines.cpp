@@ -38,93 +38,264 @@ std::uint64_t tables_device_bytes(const Portfolio& p, unsigned loss_bytes) {
 
 namespace {
 
-// Runs the optimised kernel for global trials [begin, end) on `dev`,
-// writing into `out` at local rows (trial - out_base); out_base is the
-// global index of out's first row (0 for a full run). One fused
-// multi-layer launch per device: each thread walks its trial once and
-// updates every layer, so the YET slice crosses the memory system once
-// instead of once per layer. The paper's chunking (staging chunk_size
-// events through shared memory), register scratch and unrolling are
-// memory-traffic optimisations that never change a result: the
-// simulator charges them through KernelTraits, and the functional pass
-// is the dispatched sweep whatever the launch shape. With cost_only
-// the same alloc/copy/launch sequence is charged to the simulated
-// timeline without executing the kernel (tables may be an empty
-// store).
-template <typename Real>
-void run_optimized_on_device(simgpu::SimDevice& dev, const Portfolio& p,
-                             const Yet& yet, const TableStore<Real>& tables,
-                             const EngineConfig& cfg, std::size_t begin,
-                             std::size_t end, std::size_t out_base, Ylt& out,
-                             bool cost_only = false) {
-  const std::size_t trials = end - begin;
-  if (trials == 0) return;
-
-  const unsigned loss_bytes = sizeof(Real);
-  dev.alloc(tables_device_bytes(p, loss_bytes));
-  dev.alloc(yet_device_bytes(yet, begin, end));
-  dev.alloc(static_cast<std::uint64_t>(p.layer_count()) * trials * loss_bytes);
-
-  // Host -> device: the direct access tables and this device's YET
-  // slice (the preprocessing stage of the paper).
-  dev.copy(tables_device_bytes(p, loss_bytes));
-  dev.copy(yet_device_bytes(yet, begin, end));
-
-  simgpu::KernelTraits traits;
-  traits.loss_bytes = loss_bytes;
-  traits.chunked = cfg.chunking;
-  traits.mlp_per_thread =
-      cfg.chunking ? std::min(cfg.chunk_size, 16u) : 1;
-  traits.scratch_in_global = !cfg.chunking && !cfg.use_registers;
-  traits.scratch_in_registers = cfg.use_registers;
-  traits.unrolled = cfg.unroll;
-
+// One thread per trial.
+simgpu::LaunchConfig grid_for(unsigned block_threads, std::size_t trials) {
   simgpu::LaunchConfig launch;
-  launch.block_threads = cfg.block_threads;
+  launch.block_threads = block_threads;
   launch.grid_blocks = static_cast<unsigned>(
-      (trials + cfg.block_threads - 1) / cfg.block_threads);
-  launch.shared_bytes_per_block =
-      cfg.chunking ? optimized_shared_bytes(cfg.block_threads, cfg.chunk_size)
-                   : 0;
-  launch.regs_per_thread = cfg.use_registers ? 63 : 32;
+      (trials + block_threads - 1) / block_threads);
+  return launch;
+}
 
-  OpCounts ops = range_fused_ops(p, yet, begin, end);
-  const std::uint64_t scratch =
-      ops.occurrence_ops * kScratchTouchesPerEvent;
-  if (traits.scratch_in_global) {
-    ops.global_updates = scratch;
-  } else if (!traits.scratch_in_registers) {
-    ops.shared_accesses = scratch;
-  }
+// A device's simulated seconds: its timeline without the PCIe copies.
+double kernel_seconds(const perf::PhaseBreakdown& phases) {
+  return phases.total() - phases[perf::Phase::kTransfer];
+}
 
-  if (cost_only) {
-    dev.launch_cost_only("ara_optimized_multilayer", launch, traits, ops);
+// The functional half of a fused launch at precision Real: the
+// dispatched SoA kernel (scalar in the bitwise-reference mode,
+// vectorized under kAuto) and the portfolio bound to its tables.
+template <typename Real>
+struct FusedSweep {
+  simd::SweepKernel<Real> kernel;
+  simd::BoundPortfolio<Real> bp;
+};
+
+template <typename Real>
+const TableStore<Real>* context_tables(const EngineContext& context) {
+  if constexpr (sizeof(Real) == 4) {
+    return context.tables_f32;
   } else {
-    // The per-trial work is the dispatched SoA kernel: scalar in the
-    // bitwise-reference mode, vectorized under kAuto.
-    const simd::SweepKernel<Real> kernel =
-        simd::select_kernel<Real>(cfg.simd, cfg.simd_width);
-    const simd::BoundPortfolio<Real> bp = simd::bind_portfolio(p, tables);
-    // Running state; SimDevice executes the functor thread by thread
-    // on this host thread, so one buffer serves the whole launch.
-    simd::PortfolioTrialState<Real> state(bp);
-    dev.launch(
-        "ara_optimized_multilayer", launch, traits, ops,
-        [&](const simgpu::SimDevice::ThreadCtx& ctx) {
-          if (ctx.global_id() >= trials) return;  // guard threads past range
-          const TrialId t = static_cast<TrialId>(begin + ctx.global_id());
-          const auto row = static_cast<TrialId>(t - out_base);
-          kernel.sweep(bp, yet.trial(t), state);
-          for (std::size_t a = 0; a < bp.layers; ++a) {
-            out.annual_loss(a, row) = static_cast<double>(state.annual[a]);
-            out.max_occurrence_loss(a, row) =
-                static_cast<double>(state.max_occurrence[a]);
-          }
-        });
+    return context.tables_f64;
+  }
+}
+
+// Selects the kernel even for cost-only runs (the choice records the
+// active ISA, and a kForceWidth the host cannot satisfy fails either
+// way) and, for a real run, binds the context's tables (built into
+// `local` when the context has none).
+template <typename Real>
+FusedSweep<Real> prepare_sweep(const EngineConfig& cfg,
+                               const Portfolio& portfolio,
+                               const EngineContext& context,
+                               TableStore<Real>& local) {
+  FusedSweep<Real> sweep{
+      simd::select_kernel<Real>(cfg.simd, cfg.simd_width), {}};
+  if (!context.cost_only) {
+    sweep.bp = simd::bind_portfolio(
+        portfolio,
+        *select_tables(context_tables<Real>(context), local, portfolio));
+  }
+  return sweep;
+}
+
+// Charges one launch on `dev` shaped by `launch` and `traits` for `ops`
+// of work over global trials [begin, end). With a sweep (a real run)
+// the launch also executes: one fused multi-layer pass per thread,
+// each walking its trial once and updating every layer, so the YET
+// slice crosses the memory system once instead of once per layer.
+// Thread rows land at (trial - out_base) of `out`. The launch shape
+// and traits never change a result: the simulator charges them, and
+// the functional pass is the dispatched sweep whatever the shape.
+template <typename Real>
+void launch_fused(simgpu::SimDevice& dev, const std::string& kernel_name,
+                  const simgpu::LaunchConfig& launch,
+                  const simgpu::KernelTraits& traits, const OpCounts& ops,
+                  const FusedSweep<Real>* sweep, const Yet& yet,
+                  std::size_t begin, std::size_t end, std::size_t out_base,
+                  Ylt& out) {
+  if (sweep == nullptr) {
+    dev.launch_cost_only(kernel_name, launch, traits, ops);
+    return;
+  }
+  const std::size_t trials = end - begin;
+  const simd::SweepKernel<Real>& kernel = sweep->kernel;
+  const simd::BoundPortfolio<Real>& bp = sweep->bp;
+  // Running state; SimDevice executes the functor thread by thread on
+  // this host thread, so one buffer serves the whole launch.
+  simd::PortfolioTrialState<Real> state(bp);
+  dev.launch(
+      kernel_name, launch, traits, ops,
+      [&](const simgpu::SimDevice::ThreadCtx& ctx) {
+        if (ctx.global_id() >= trials) return;  // guard threads past range
+        const TrialId t = static_cast<TrialId>(begin + ctx.global_id());
+        const auto row = static_cast<TrialId>(t - out_base);
+        kernel.sweep(bp, yet.trial(t), state);
+        for (std::size_t a = 0; a < bp.layers; ++a) {
+          out.annual_loss(a, row) = static_cast<double>(state.annual[a]);
+          out.max_occurrence_loss(a, row) =
+              static_cast<double>(state.max_occurrence[a]);
+        }
+      });
+}
+
+// The optimised kernel on one device per entry of `devices`, device d
+// covering global trials slices[d]. Tables are built once on the host
+// (or borrowed from the session's cache) and shipped to every device;
+// the YET is sliced. One host thread drives one GPU (the paper's
+// dispatch scheme, SimPlatform::for_each_device); a lone device runs on
+// the calling thread. With cost_only the same alloc/copy/launch
+// sequence is charged without executing the kernel.
+template <typename Real>
+SimulationResult run_optimized_as(std::string name,
+                                  std::vector<simgpu::DeviceSpec> devices,
+                                  const std::vector<parallel::Range>& slices,
+                                  const Portfolio& portfolio, const Yet& yet,
+                                  const EngineContext& context,
+                                  const EngineConfig& cfg) {
+  const TrialRange range = context.trials.resolve(yet.trial_count());
+
+  SimulationResult result;
+  result.engine_name = std::move(name);
+  result.devices = static_cast<unsigned>(devices.size());
+  result.trial_begin = range.begin;
+  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
+
+  perf::Stopwatch wall;
+  simgpu::SimPlatform platform(std::move(devices));
+  TableStore<Real> local;
+  const FusedSweep<Real> sweep =
+      prepare_sweep<Real>(cfg, portfolio, context, local);
+  result.simd_isa = simd::isa_name(sweep.kernel.isa);
+  if (!context.cost_only) {
+    result.ylt = Ylt(portfolio.layer_count(), range.size());
   }
 
-  // Device -> host: the YLT slice.
-  dev.copy(static_cast<std::uint64_t>(p.layer_count()) * trials * loss_bytes);
+  const std::uint64_t tables = tables_device_bytes(portfolio, sizeof(Real));
+  platform.for_each_device([&](std::size_t d) {
+    const std::size_t begin = slices[d].begin;
+    const std::size_t end = slices[d].end;
+    if (begin == end) return;
+    simgpu::SimDevice& dev = platform.device(d);
+    const std::uint64_t yet_bytes = yet_device_bytes(yet, begin, end);
+    const std::uint64_t ylt_bytes =
+        static_cast<std::uint64_t>(portfolio.layer_count()) * (end - begin) *
+        sizeof(Real);
+    dev.alloc(tables);
+    dev.alloc(yet_bytes);
+    dev.alloc(ylt_bytes);
+    // Host -> device: the direct access tables and this device's YET
+    // slice (the preprocessing stage of the paper).
+    dev.copy(tables);
+    dev.copy(yet_bytes);
+    const KernelPlan plan = optimized_kernel_plan(
+        cfg, end - begin, range_fused_ops(portfolio, yet, begin, end));
+    launch_fused(dev, "ara_optimized_multilayer", plan.launch, plan.traits,
+                 plan.ops, context.cost_only ? nullptr : &sweep, yet, begin,
+                 end, range.begin, result.ylt);
+    dev.copy(ylt_bytes);  // device -> host: the YLT slice
+  });
+
+  result.wall_seconds = wall.seconds();
+  // Devices run concurrently: the platform time is the slowest device;
+  // phase attribution is the per-device mean.
+  result.simulated_phases = platform.mean_phase_seconds();
+  for (std::size_t d = 0; d < platform.device_count(); ++d) {
+    result.simulated_seconds =
+        std::max(result.simulated_seconds,
+                 kernel_seconds(platform.device(d).phase_seconds()));
+  }
+  return result;
+}
+
+SimulationResult run_optimized(std::string name,
+                               std::vector<simgpu::DeviceSpec> devices,
+                               const std::vector<parallel::Range>& slices,
+                               const Portfolio& portfolio, const Yet& yet,
+                               const EngineContext& context,
+                               const EngineConfig& cfg) {
+  return cfg.use_float
+             ? run_optimized_as<float>(std::move(name), std::move(devices),
+                                       slices, portfolio, yet, context, cfg)
+             : run_optimized_as<double>(std::move(name), std::move(devices),
+                                        slices, portfolio, yet, context, cfg);
+}
+
+// Trials per streamed batch: the memory left after the tables, filled
+// to 75% with YET slice (4 B/event + offsets) + YLT slice at the mean
+// trial length. 0 when the tables alone do not fit.
+std::size_t streamed_batch_trials(const simgpu::DeviceSpec& device,
+                                  const EngineConfig& cfg,
+                                  const Portfolio& portfolio,
+                                  const Yet& yet) {
+  const unsigned loss_bytes = cfg.use_float ? 4 : 8;
+  const std::uint64_t tables = tables_device_bytes(portfolio, loss_bytes);
+  if (tables >= device.global_mem_bytes) return 0;
+  const double events_per_trial =
+      std::max(1.0, yet.mean_events_per_trial());
+  const double bytes_per_trial =
+      events_per_trial * 4.0 + 8.0 +
+      static_cast<double>(portfolio.layer_count()) * loss_bytes;
+  const std::uint64_t budget = device.global_mem_bytes - tables;
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(static_cast<double>(budget) * 0.75 /
+                                  bytes_per_trial));
+}
+
+// The optimised kernel streamed through one device (StreamedGpuEngine):
+// tables resident, the trial range shipped, run and freed in batches.
+template <typename Real>
+SimulationResult run_streamed_as(std::string name,
+                                 const simgpu::DeviceSpec& device,
+                                 const Portfolio& portfolio, const Yet& yet,
+                                 const EngineContext& context,
+                                 const EngineConfig& cfg) {
+  const TrialRange range = context.trials.resolve(yet.trial_count());
+
+  SimulationResult result;
+  result.engine_name = std::move(name);
+  result.devices = 1;
+  result.trial_begin = range.begin;
+  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
+
+  perf::Stopwatch wall;
+  simgpu::SimDevice dev(device);
+  if (!context.cost_only) {
+    result.ylt = Ylt(portfolio.layer_count(), range.size());
+  }
+
+  const std::size_t batch_trials =
+      streamed_batch_trials(device, cfg, portfolio, yet);
+  if (batch_trials == 0) {
+    throw std::runtime_error(
+        "StreamedGpuEngine: loss tables alone exceed device memory");
+  }
+  const std::uint64_t tables = tables_device_bytes(portfolio, sizeof(Real));
+  dev.alloc(tables);
+  dev.copy(tables);
+
+  TableStore<Real> local;
+  const FusedSweep<Real> sweep =
+      prepare_sweep<Real>(cfg, portfolio, context, local);
+  result.simd_isa = simd::isa_name(sweep.kernel.isa);
+
+  for (std::size_t begin = range.begin; begin < range.end;
+       begin += batch_trials) {
+    const std::size_t end = std::min(begin + batch_trials, range.end);
+    const std::uint64_t yet_bytes = yet_device_bytes(yet, begin, end);
+    const std::uint64_t ylt_bytes =
+        static_cast<std::uint64_t>(portfolio.layer_count()) * (end - begin) *
+        sizeof(Real);
+    dev.alloc(yet_bytes);
+    dev.alloc(ylt_bytes);
+    dev.copy(yet_bytes);
+    // The optimised kernel on this batch (tables are resident). Its
+    // launches are charged the bare fused counts: no scratch traffic,
+    // even where the plan attributes some (use_registers off).
+    const OpCounts ops = range_fused_ops(portfolio, yet, begin, end);
+    const KernelPlan plan = optimized_kernel_plan(cfg, end - begin, ops);
+    launch_fused(dev, "ara_streamed_multilayer", plan.launch, plan.traits,
+                 ops, context.cost_only ? nullptr : &sweep, yet, begin, end,
+                 range.begin, result.ylt);
+    dev.copy(ylt_bytes);   // results back
+    dev.free(yet_bytes);   // release the batch
+    dev.free(ylt_bytes);
+  }
+
+  result.wall_seconds = wall.seconds();
+  result.simulated_phases = dev.phase_seconds();
+  result.simulated_seconds = kernel_seconds(result.simulated_phases);
+  return result;
 }
 
 }  // namespace
@@ -139,86 +310,92 @@ std::size_t optimized_shared_bytes(unsigned block_threads,
   return static_cast<std::size_t>(block_threads) * chunk_size * 8 + 256;
 }
 
+KernelPlan basic_kernel_plan(const EngineConfig& cfg, std::size_t trials,
+                             OpCounts fused_ops) {
+  KernelPlan plan;
+  plan.traits.loss_bytes = 8;  // double, mlp 1, unchunked YET walk
+  plan.traits.scratch_in_global = true;
+  plan.launch = grid_for(cfg.block_threads, trials);
+  plan.launch.regs_per_thread = 20;
+  plan.ops = fused_ops;
+  plan.ops.global_updates = fused_ops.occurrence_ops * kScratchTouchesPerEvent;
+  return plan;
+}
+
+KernelPlan optimized_kernel_plan(const EngineConfig& cfg, std::size_t trials,
+                                 OpCounts fused_ops) {
+  KernelPlan plan;
+  simgpu::KernelTraits& traits = plan.traits;
+  traits.loss_bytes = cfg.use_float ? 4 : 8;
+  traits.chunked = cfg.chunking;
+  traits.mlp_per_thread = cfg.chunking ? std::min(cfg.chunk_size, 16u) : 1;
+  traits.scratch_in_global = !cfg.chunking && !cfg.use_registers;
+  traits.scratch_in_registers = cfg.use_registers;
+  traits.unrolled = cfg.unroll;
+
+  plan.launch = grid_for(cfg.block_threads, trials);
+  plan.launch.shared_bytes_per_block =
+      cfg.chunking ? optimized_shared_bytes(cfg.block_threads, cfg.chunk_size)
+                   : 0;
+  plan.launch.regs_per_thread = cfg.use_registers ? 63 : 32;
+
+  plan.ops = fused_ops;
+  const std::uint64_t scratch =
+      fused_ops.occurrence_ops * kScratchTouchesPerEvent;
+  if (traits.scratch_in_global) {
+    plan.ops.global_updates = scratch;
+  } else if (!traits.scratch_in_registers) {
+    plan.ops.shared_accesses = scratch;
+  }
+  return plan;
+}
+
 SimulationResult GpuBasicEngine::run(const Portfolio& portfolio,
                                      const Yet& yet,
                                      const EngineContext& context) const {
   const TrialRange range = context.trials.resolve(yet.trial_count());
+  const KernelPlan plan = basic_kernel_plan(
+      config_, range.size(),
+      range_fused_ops(portfolio, yet, range.begin, range.end));
 
   SimulationResult result;
   result.engine_name = name();
   result.devices = 1;
   result.trial_begin = range.begin;
-  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
-  result.ops.global_updates =
-      result.ops.occurrence_ops * kScratchTouchesPerEvent;
+  result.ops = plan.ops;
 
   perf::Stopwatch wall;
   simgpu::SimDevice dev(device_);
-
-  dev.alloc(tables_device_bytes(portfolio, 8));
-  dev.alloc(yet_device_bytes(yet, range.begin, range.end));
-  // Per-event scratch (lx, lox) lives in global memory, one slot per
+  const std::uint64_t tables = tables_device_bytes(portfolio, 8);
+  const std::uint64_t yet_bytes =
+      yet_device_bytes(yet, range.begin, range.end);
+  // One double per (layer, trial): the YLT slice, and as much again
+  // for the per-event scratch (lx, lox) in global memory, one slot per
   // resident thread's current event — the basic implementation keeps
   // whole trial arrays per thread.
-  dev.alloc(static_cast<std::uint64_t>(portfolio.layer_count()) *
-            range.size() * 8);
-  dev.copy(tables_device_bytes(portfolio, 8));
-  dev.copy(yet_device_bytes(yet, range.begin, range.end));
+  const std::uint64_t row_bytes =
+      static_cast<std::uint64_t>(portfolio.layer_count()) * range.size() * 8;
+  dev.alloc(tables);
+  dev.alloc(yet_bytes);
+  dev.alloc(row_bytes);
+  dev.copy(tables);
+  dev.copy(yet_bytes);
 
-  simgpu::KernelTraits traits;  // double, mlp 1, global scratch
-  traits.loss_bytes = 8;
-  traits.scratch_in_global = true;
-
-  simgpu::LaunchConfig launch;
-  launch.block_threads = config_.block_threads;
-  launch.grid_blocks = static_cast<unsigned>(
-      (range.size() + config_.block_threads - 1) /
-      config_.block_threads);
-  launch.regs_per_thread = 20;
-
-  OpCounts launch_ops =
-      range_fused_ops(portfolio, yet, range.begin, range.end);
-  launch_ops.global_updates =
-      launch_ops.occurrence_ops * kScratchTouchesPerEvent;
-
-  const simd::SweepKernel<double> kernel =
-      simd::select_kernel<double>(config_.simd, config_.simd_width);
-  result.simd_isa = simd::isa_name(kernel.isa);
-
-  if (context.cost_only) {
-    dev.launch_cost_only("ara_basic_multilayer", launch, traits, launch_ops);
-  } else {
-    TableStore<double> local;
-    const TableStore<double>& tables =
-        *select_tables(context.tables_f64, local, portfolio);
+  TableStore<double> local;
+  const FusedSweep<double> sweep =
+      prepare_sweep<double>(config_, portfolio, context, local);
+  result.simd_isa = simd::isa_name(sweep.kernel.isa);
+  if (!context.cost_only) {
     result.ylt = Ylt(portfolio.layer_count(), range.size());
-
-    // One fused launch: each thread walks its trial once, updating
-    // every layer's accumulators from the single YET read.
-    const simd::BoundPortfolio<double> bp =
-        simd::bind_portfolio(portfolio, tables);
-    simd::PortfolioTrialState<double> state(bp);
-    dev.launch("ara_basic_multilayer", launch, traits, launch_ops,
-               [&](const simgpu::SimDevice::ThreadCtx& ctx) {
-                 if (ctx.global_id() >= range.size()) return;
-                 const auto t =
-                     static_cast<TrialId>(range.begin + ctx.global_id());
-                 const auto row = static_cast<TrialId>(ctx.global_id());
-                 kernel.sweep(bp, yet.trial(t), state);
-                 for (std::size_t a = 0; a < bp.layers; ++a) {
-                   result.ylt.annual_loss(a, row) = state.annual[a];
-                   result.ylt.max_occurrence_loss(a, row) =
-                       state.max_occurrence[a];
-                 }
-               });
   }
-  dev.copy(static_cast<std::uint64_t>(portfolio.layer_count()) *
-           range.size() * 8);
+  launch_fused(dev, "ara_basic_multilayer", plan.launch, plan.traits,
+               plan.ops, context.cost_only ? nullptr : &sweep, yet,
+               range.begin, range.end, range.begin, result.ylt);
+  dev.copy(row_bytes);  // the YLT slice back
 
   result.wall_seconds = wall.seconds();
   result.simulated_phases = dev.phase_seconds();
-  result.simulated_seconds = result.simulated_phases.total() -
-                             result.simulated_phases[perf::Phase::kTransfer];
+  result.simulated_seconds = kernel_seconds(result.simulated_phases);
   return result;
 }
 
@@ -226,48 +403,8 @@ SimulationResult GpuOptimizedEngine::run(const Portfolio& portfolio,
                                          const Yet& yet,
                                          const EngineContext& context) const {
   const TrialRange range = context.trials.resolve(yet.trial_count());
-
-  SimulationResult result;
-  result.engine_name = name();
-  result.devices = 1;
-  result.trial_begin = range.begin;
-  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
-
-  result.simd_isa = simd::isa_name(
-      config_.use_float
-          ? simd::select_kernel<float>(config_.simd, config_.simd_width).isa
-          : simd::select_kernel<double>(config_.simd, config_.simd_width)
-                .isa);
-
-  perf::Stopwatch wall;
-  simgpu::SimDevice dev(device_);
-  if (!context.cost_only) {
-    result.ylt = Ylt(portfolio.layer_count(), range.size());
-  }
-  if (config_.use_float) {
-    TableStore<float> local;
-    const TableStore<float>& tables =
-        context.cost_only ? local
-                          : *select_tables(context.tables_f32, local,
-                                           portfolio);
-    run_optimized_on_device<float>(dev, portfolio, yet, tables, config_,
-                                   range.begin, range.end, range.begin,
-                                   result.ylt, context.cost_only);
-  } else {
-    TableStore<double> local;
-    const TableStore<double>& tables =
-        context.cost_only ? local
-                          : *select_tables(context.tables_f64, local,
-                                           portfolio);
-    run_optimized_on_device<double>(dev, portfolio, yet, tables, config_,
-                                    range.begin, range.end, range.begin,
-                                    result.ylt, context.cost_only);
-  }
-  result.wall_seconds = wall.seconds();
-  result.simulated_phases = dev.phase_seconds();
-  result.simulated_seconds = result.simulated_phases.total() -
-                             result.simulated_phases[perf::Phase::kTransfer];
-  return result;
+  return run_optimized(name(), {device_}, {{range.begin, range.end}},
+                       portfolio, yet, context, config_);
 }
 
 SimulationResult GpuCombinedTableEngine::run(
@@ -321,11 +458,7 @@ SimulationResult GpuCombinedTableEngine::run(
   traits.scratch_in_global = false;
   traits.scratch_in_registers = false;  // scratch lives in shared memory
 
-  simgpu::LaunchConfig launch;
-  launch.block_threads = config_.block_threads;
-  launch.grid_blocks = static_cast<unsigned>(
-      (range.size() + config_.block_threads - 1) /
-      config_.block_threads);
+  simgpu::LaunchConfig launch = grid_for(config_.block_threads, range.size());
   // One staged combined row per thread plus the request slots.
   launch.shared_bytes_per_block =
       static_cast<std::size_t>(config_.block_threads) *
@@ -375,168 +508,25 @@ SimulationResult GpuCombinedTableEngine::run(
 
   result.wall_seconds = wall.seconds();
   result.simulated_phases = dev.phase_seconds();
-  result.simulated_seconds = result.simulated_phases.total() -
-                             result.simulated_phases[perf::Phase::kTransfer];
+  result.simulated_seconds = kernel_seconds(result.simulated_phases);
   return result;
 }
 
 SimulationResult StreamedGpuEngine::run(const Portfolio& portfolio,
                                         const Yet& yet,
                                         const EngineContext& context) const {
-  const TrialRange range = context.trials.resolve(yet.trial_count());
-
-  SimulationResult result;
-  result.engine_name = name();
-  result.devices = 1;
-  result.trial_begin = range.begin;
-  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
-
-  perf::Stopwatch wall;
-  simgpu::SimDevice dev(device_);
-  if (!context.cost_only) {
-    result.ylt = Ylt(portfolio.layer_count(), range.size());
-  }
-
-  const unsigned loss_bytes = config_.use_float ? 4 : 8;
-  const std::uint64_t tables = tables_device_bytes(portfolio, loss_bytes);
-  if (tables >= device_.global_mem_bytes) {
-    throw std::runtime_error(
-        "StreamedGpuEngine: loss tables alone exceed device memory");
-  }
-  dev.alloc(tables);
-  dev.copy(tables);
-
-  // Batch size: fill the memory left after the tables with YET slice
-  // (4 B/event + offsets) + YLT slice, using the mean trial length.
-  const double events_per_trial =
-      std::max(1.0, yet.mean_events_per_trial());
-  const double bytes_per_trial =
-      events_per_trial * 4.0 + 8.0 +
-      static_cast<double>(portfolio.layer_count()) * loss_bytes;
-  const std::uint64_t budget = device_.global_mem_bytes - tables;
-  std::size_t batch_trials = static_cast<std::size_t>(
-      static_cast<double>(budget) * 0.75 / bytes_per_trial);
-  batch_trials = std::max<std::size_t>(1, batch_trials);
-
-  TableStore<float> local_f;
-  TableStore<double> local_d;
-  const TableStore<float>* tables_f =
-      config_.use_float && !context.cost_only
-          ? select_tables(context.tables_f32, local_f, portfolio)
-          : nullptr;
-  const TableStore<double>* tables_d =
-      config_.use_float || context.cost_only
-          ? nullptr
-          : select_tables(context.tables_f64, local_d, portfolio);
-
-  const simd::SweepKernel<float> kernel_f =
-      simd::select_kernel<float>(config_.simd, config_.simd_width);
-  const simd::SweepKernel<double> kernel_d =
-      simd::select_kernel<double>(config_.simd, config_.simd_width);
-  result.simd_isa =
-      simd::isa_name(config_.use_float ? kernel_f.isa : kernel_d.isa);
-
-  const simd::BoundPortfolio<float> bp_f =
-      tables_f ? simd::bind_portfolio(portfolio, *tables_f)
-               : simd::BoundPortfolio<float>{};
-  const simd::BoundPortfolio<double> bp_d =
-      tables_d ? simd::bind_portfolio(portfolio, *tables_d)
-               : simd::BoundPortfolio<double>{};
-  simd::PortfolioTrialState<float> state_f(bp_f);
-  simd::PortfolioTrialState<double> state_d(bp_d);
-
-  for (std::size_t begin = range.begin; begin < range.end;
-       begin += batch_trials) {
-    const std::size_t end = std::min(begin + batch_trials, range.end);
-    const std::uint64_t yet_bytes = yet_device_bytes(yet, begin, end);
-    const std::uint64_t ylt_bytes =
-        static_cast<std::uint64_t>(portfolio.layer_count()) *
-        (end - begin) * loss_bytes;
-    dev.alloc(yet_bytes);
-    dev.alloc(ylt_bytes);
-    dev.copy(yet_bytes);
-
-    // Run the fused multi-layer kernel on this batch (tables are
-    // resident).
-    simgpu::KernelTraits traits;
-    traits.loss_bytes = loss_bytes;
-    traits.chunked = config_.chunking;
-    traits.mlp_per_thread =
-        config_.chunking ? std::min(config_.chunk_size, 16u) : 1;
-    traits.scratch_in_registers = config_.use_registers;
-    traits.scratch_in_global = !config_.chunking && !config_.use_registers;
-    traits.unrolled = config_.unroll;
-
-    simgpu::LaunchConfig launch;
-    launch.block_threads = config_.block_threads;
-    launch.grid_blocks = static_cast<unsigned>(
-        (end - begin + config_.block_threads - 1) / config_.block_threads);
-    launch.shared_bytes_per_block =
-        config_.chunking
-            ? optimized_shared_bytes(config_.block_threads, config_.chunk_size)
-            : 0;
-    launch.regs_per_thread = config_.use_registers ? 63 : 32;
-    const OpCounts ops = range_fused_ops(portfolio, yet, begin, end);
-
-    if (context.cost_only) {
-      dev.launch_cost_only("ara_streamed_multilayer", launch, traits, ops);
-    } else if (config_.use_float) {
-      dev.launch("ara_streamed_multilayer", launch, traits, ops,
-                 [&](const simgpu::SimDevice::ThreadCtx& ctx) {
-                   if (ctx.global_id() >= end - begin) return;
-                   const auto t =
-                       static_cast<TrialId>(begin + ctx.global_id());
-                   const auto row = static_cast<TrialId>(t - range.begin);
-                   kernel_f.sweep(bp_f, yet.trial(t), state_f);
-                   for (std::size_t a = 0; a < bp_f.layers; ++a) {
-                     result.ylt.annual_loss(a, row) =
-                         static_cast<double>(state_f.annual[a]);
-                     result.ylt.max_occurrence_loss(a, row) =
-                         static_cast<double>(state_f.max_occurrence[a]);
-                   }
-                 });
-    } else {
-      dev.launch("ara_streamed_multilayer", launch, traits, ops,
-                 [&](const simgpu::SimDevice::ThreadCtx& ctx) {
-                   if (ctx.global_id() >= end - begin) return;
-                   const auto t =
-                       static_cast<TrialId>(begin + ctx.global_id());
-                   const auto row = static_cast<TrialId>(t - range.begin);
-                   kernel_d.sweep(bp_d, yet.trial(t), state_d);
-                   for (std::size_t a = 0; a < bp_d.layers; ++a) {
-                     result.ylt.annual_loss(a, row) = state_d.annual[a];
-                     result.ylt.max_occurrence_loss(a, row) =
-                         state_d.max_occurrence[a];
-                   }
-                 });
-    }
-
-    dev.copy(ylt_bytes);   // results back
-    dev.free(yet_bytes);   // release the batch
-    dev.free(ylt_bytes);
-  }
-
-  result.wall_seconds = wall.seconds();
-  result.simulated_phases = dev.phase_seconds();
-  result.simulated_seconds = result.simulated_phases.total() -
-                             result.simulated_phases[perf::Phase::kTransfer];
-  return result;
+  return config_.use_float
+             ? run_streamed_as<float>(name(), device_, portfolio, yet,
+                                      context, config_)
+             : run_streamed_as<double>(name(), device_, portfolio, yet,
+                                       context, config_);
 }
 
 std::size_t StreamedGpuEngine::batch_count(const Portfolio& portfolio,
                                            const Yet& yet) const {
-  const unsigned loss_bytes = config_.use_float ? 4 : 8;
-  const std::uint64_t tables = tables_device_bytes(portfolio, loss_bytes);
-  if (tables >= device_.global_mem_bytes) return 0;
-  const double events_per_trial =
-      std::max(1.0, yet.mean_events_per_trial());
-  const double bytes_per_trial =
-      events_per_trial * 4.0 + 8.0 +
-      static_cast<double>(portfolio.layer_count()) * loss_bytes;
-  const std::uint64_t budget = device_.global_mem_bytes - tables;
-  const std::size_t batch_trials = std::max<std::size_t>(
-      1, static_cast<std::size_t>(static_cast<double>(budget) * 0.75 /
-                                  bytes_per_trial));
+  const std::size_t batch_trials =
+      streamed_batch_trials(device_, config_, portfolio, yet);
+  if (batch_trials == 0) return 0;
   return (yet.trial_count() + batch_trials - 1) / batch_trials;
 }
 
@@ -565,27 +555,9 @@ HeterogeneousMultiGpuEngine::HeterogeneousMultiGpuEngine(
 SimulationResult HeterogeneousMultiGpuEngine::run(
     const Portfolio& portfolio, const Yet& yet,
     const EngineContext& context) const {
-  const TrialRange range = context.trials.resolve(yet.trial_count());
-
-  SimulationResult result;
-  result.engine_name = name();
-  result.devices = static_cast<unsigned>(devices_.size());
-  result.trial_begin = range.begin;
-  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
-  result.simd_isa = simd::isa_name(
-      config_.use_float
-          ? simd::select_kernel<float>(config_.simd, config_.simd_width).isa
-          : simd::select_kernel<double>(config_.simd, config_.simd_width)
-                .isa);
-
-  perf::Stopwatch wall;
-  simgpu::SimPlatform platform(devices_);
-  if (!context.cost_only) {
-    result.ylt = Ylt(portfolio.layer_count(), range.size());
-  }
-
   // Weighted contiguous split of this run's trial range.
-  std::vector<parallel::Range> ranges(devices_.size());
+  const TrialRange range = context.trials.resolve(yet.trial_count());
+  std::vector<parallel::Range> slices(devices_.size());
   std::size_t at = range.begin;
   double carry = 0.0;
   for (std::size_t d = 0; d < devices_.size(); ++d) {
@@ -596,120 +568,27 @@ SimulationResult HeterogeneousMultiGpuEngine::run(
             : std::min(range.end,
                        range.begin + static_cast<std::size_t>(carry + 0.5));
     end = std::max(end, at);
-    ranges[d] = {at, end};
+    slices[d] = {at, end};
     at = end;
   }
-
-  if (config_.use_float) {
-    TableStore<float> local;
-    const TableStore<float>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f32, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<float>(platform.device(d), portfolio, yet,
-                                     tables, config_, ranges[d].begin,
-                                     ranges[d].end, range.begin, result.ylt,
-                                     context.cost_only);
-    });
-  } else {
-    TableStore<double> local;
-    const TableStore<double>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f64, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<double>(platform.device(d), portfolio, yet,
-                                      tables, config_, ranges[d].begin,
-                                      ranges[d].end, range.begin, result.ylt,
-                                      context.cost_only);
-    });
-  }
-
-  result.wall_seconds = wall.seconds();
-  result.simulated_phases = platform.mean_phase_seconds();
-  result.simulated_seconds = 0.0;
-  for (std::size_t d = 0; d < platform.device_count(); ++d) {
-    const auto& ph = platform.device(d).phase_seconds();
-    result.simulated_seconds =
-        std::max(result.simulated_seconds,
-                 ph.total() - ph[perf::Phase::kTransfer]);
-  }
-  return result;
+  return run_optimized(name(), devices_, slices, portfolio, yet, context,
+                       config_);
 }
 
 SimulationResult MultiGpuEngine::run(const Portfolio& portfolio,
                                      const Yet& yet,
                                      const EngineContext& context) const {
-  const TrialRange range = context.trials.resolve(yet.trial_count());
-
-  SimulationResult result;
-  result.engine_name = name();
-  result.devices = static_cast<unsigned>(device_count_);
-  result.trial_begin = range.begin;
-  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
-  result.simd_isa = simd::isa_name(
-      config_.use_float
-          ? simd::select_kernel<float>(config_.simd, config_.simd_width).isa
-          : simd::select_kernel<double>(config_.simd, config_.simd_width)
-                .isa);
-
-  perf::Stopwatch wall;
-  simgpu::SimPlatform platform(device_, device_count_);
-  if (!context.cost_only) {
-    result.ylt = Ylt(portfolio.layer_count(), range.size());
-  }
-
   // Even split of this run's trial range across the devices.
-  std::vector<parallel::Range> ranges =
+  const TrialRange range = context.trials.resolve(yet.trial_count());
+  std::vector<parallel::Range> slices =
       parallel::split_even(range.size(), device_count_);
-  for (parallel::Range& r : ranges) {
+  for (parallel::Range& r : slices) {
     r.begin += range.begin;
     r.end += range.begin;
   }
-
-  // Tables are built once on the host (or borrowed from the session's
-  // cache) and shipped to every device; the YET is sliced. One host
-  // thread drives one GPU (the paper's dispatch scheme), realised by
-  // SimPlatform::for_each_device.
-  if (config_.use_float) {
-    TableStore<float> local;
-    const TableStore<float>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f32, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<float>(platform.device(d), portfolio, yet,
-                                     tables, config_, ranges[d].begin,
-                                     ranges[d].end, range.begin, result.ylt,
-                                     context.cost_only);
-    });
-  } else {
-    TableStore<double> local;
-    const TableStore<double>& tables =
-        context.cost_only
-            ? local
-            : *select_tables(context.tables_f64, local, portfolio);
-    platform.for_each_device([&](std::size_t d) {
-      run_optimized_on_device<double>(platform.device(d), portfolio, yet,
-                                      tables, config_, ranges[d].begin,
-                                      ranges[d].end, range.begin, result.ylt,
-                                      context.cost_only);
-    });
-  }
-
-  result.wall_seconds = wall.seconds();
-  // Devices run concurrently: the platform time is the slowest device;
-  // phase attribution is the per-device mean.
-  result.simulated_phases = platform.mean_phase_seconds();
-  result.simulated_seconds = 0.0;
-  for (std::size_t d = 0; d < platform.device_count(); ++d) {
-    const auto& ph = platform.device(d).phase_seconds();
-    result.simulated_seconds = std::max(
-        result.simulated_seconds,
-        ph.total() - ph[perf::Phase::kTransfer]);
-  }
-  return result;
+  return run_optimized(name(),
+                       std::vector<simgpu::DeviceSpec>(device_count_, device_),
+                       slices, portfolio, yet, context, config_);
 }
 
 }  // namespace ara

@@ -15,6 +15,16 @@
 //  * MultiGpuEngine — the optimised kernel with the trial range
 //    decomposed evenly across N devices, one host thread per device.
 //
+// Each paper kernel has one plan (basic_kernel_plan,
+// optimized_kernel_plan): its launch shape, kernel traits and the op
+// counts with the per-event scratch traffic attributed to where the
+// kernel keeps its scratch. The engines charge their launches from
+// these plans, and the figure benches and the calibration test price
+// the same plans at the paper's scale, so a kernel is described once.
+// GpuOptimizedEngine, MultiGpuEngine and HeterogeneousMultiGpuEngine
+// share one run body that differs only in its device list and trial
+// split.
+//
 // The basic, optimised, streamed and multi-GPU kernels are trial-major
 // fused (DESIGN.md §4): one launch covers every layer, with each
 // thread updating all layers' accumulators from a single walk of its
@@ -27,8 +37,34 @@
 
 #include "core/engine.hpp"
 #include "simgpu/device_spec.hpp"
+#include "simgpu/gpu_cost_model.hpp"
 
 namespace ara {
+
+/// How one launch of a paper GPU kernel is shaped and charged.
+struct KernelPlan {
+  simgpu::LaunchConfig launch;
+  simgpu::KernelTraits traits;
+  /// The launch's op counts, with Algorithm 1's per-event scratch
+  /// traffic (kScratchTouchesPerEvent per occurrence) charged to
+  /// global or shared memory where the kernel keeps its scratch.
+  OpCounts ops;
+};
+
+/// The basic kernel over `trials` trials doing `fused_ops` of work:
+/// one thread per trial (cfg.block_threads per block, 20 registers),
+/// double tables, one dependent load in flight, scratch in global
+/// memory. Reads only cfg.block_threads.
+KernelPlan basic_kernel_plan(const EngineConfig& cfg, std::size_t trials,
+                             OpCounts fused_ops);
+
+/// The optimised kernel over `trials` trials doing `fused_ops` of work,
+/// with the paper's four optimisations as cfg toggles them: chunking
+/// (chunk_size events per thread staged through shared memory, up to
+/// 16 loads in flight), float tables, unrolling and register scratch
+/// (63 registers per thread, else 32).
+KernelPlan optimized_kernel_plan(const EngineConfig& cfg, std::size_t trials,
+                                 OpCounts fused_ops);
 
 class GpuBasicEngine final : public Engine {
  public:
@@ -128,8 +164,8 @@ class StreamedGpuEngine final : public Engine {
   SimulationResult run(const Portfolio& portfolio, const Yet& yet,
                        const EngineContext& context) const override;
 
-  /// Number of batches the given workload needs on this device
-  /// (diagnostics/tests).
+  /// Number of batches the given workload needs on this device, 0 when
+  /// the loss tables alone do not fit (diagnostics/tests).
   std::size_t batch_count(const Portfolio& portfolio, const Yet& yet) const;
 
  private:
@@ -172,7 +208,8 @@ std::size_t optimized_shared_bytes(unsigned block_threads,
 
 /// Device-resident bytes of a YET slice ([trial_begin, trial_end)) as
 /// shipped to a device: 4-byte event ids plus 8-byte trial offsets.
-/// Exposed for the session's cost predictor and capacity planning.
+/// Exposed for capacity planning (tests size memory-bound devices with
+/// it).
 std::uint64_t yet_device_bytes(const Yet& yet, std::size_t trial_begin,
                                std::size_t trial_end);
 

@@ -7,14 +7,10 @@
 #include <thread>
 
 #include "core/failpoint.hpp"
-#include "core/gpu_engines.hpp"
 #include "core/metrics/portfolio_rollup.hpp"
 #include "core/range_executor.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/partition.hpp"
-#include "perf/cpu_cost_model.hpp"
-#include "perf/machine_profile.hpp"
-#include "simgpu/gpu_cost_model.hpp"
 
 namespace ara {
 
@@ -32,179 +28,6 @@ std::string engine_cache_key(EngineKind kind, const EngineConfig& c,
       << p.gpu_device.name << '|' << p.multi_gpu_device.name << '|'
       << p.gpu_count;
   return key.str();
-}
-
-// ---- kAuto cost prediction ------------------------------------------------
-//
-// Each helper mirrors the launch shapes, kernel traits and scratch
-// attribution of the corresponding engine (cpu_engines.cpp /
-// gpu_engines.cpp), evaluated through the same cost models the engines
-// charge their simulated time with — so a prediction is the engine's
-// simulated_seconds computed without executing the workload.
-
-double predict_cpu(const Portfolio& portfolio, const Yet& yet,
-                   const EngineConfig& cfg, EngineKind kind) {
-  // The fused engines run the trial-major sweep (YET streamed once for
-  // all layers); only the literal reference implementation re-fetches
-  // the YET per layer.
-  OpCounts ops = kind == EngineKind::kSequentialReference
-                     ? count_algorithm_ops(portfolio, yet)
-                     : count_fused_algorithm_ops(portfolio, yet);
-  if (kind == EngineKind::kSequentialFused) {
-    ops.global_updates = ops.occurrence_ops ? 1 : 0;
-  } else {
-    ops.global_updates = ops.occurrence_ops * kScratchTouchesPerEvent;
-  }
-  const perf::CpuCostModel model(perf::intel_i7_2600());
-  if (kind == EngineKind::kMultiCore) {
-    return model.total_seconds(ops, std::max(1u, cfg.cores),
-                               std::max(1u, cfg.threads_per_core));
-  }
-  return model.total_seconds(ops, 1);
-}
-
-EnginePrediction predict_gpu_basic(const Portfolio& portfolio, const Yet& yet,
-                                   const EngineConfig& cfg,
-                                   const simgpu::DeviceSpec& device) {
-  EnginePrediction p;
-  p.kind = EngineKind::kGpuBasic;
-  const std::size_t trials = yet.trial_count();
-  const std::uint64_t footprint =
-      tables_device_bytes(portfolio, 8) + yet_device_bytes(yet, 0, trials) +
-      static_cast<std::uint64_t>(portfolio.layer_count()) * trials * 8;
-  if (footprint > device.global_mem_bytes) {
-    p.feasible = false;
-    p.note = "inputs exceed device memory";
-    return p;
-  }
-
-  simgpu::KernelTraits traits;
-  traits.loss_bytes = 8;
-  traits.scratch_in_global = true;
-
-  simgpu::LaunchConfig launch;
-  launch.block_threads = cfg.block_threads;
-  launch.grid_blocks = static_cast<unsigned>(
-      (trials + cfg.block_threads - 1) / cfg.block_threads);
-  launch.regs_per_thread = 20;
-
-  OpCounts ops = range_fused_ops(portfolio, yet, 0, trials);
-  ops.global_updates = ops.occurrence_ops * kScratchTouchesPerEvent;
-
-  const simgpu::GpuCostModel model(device);
-  const simgpu::KernelCost cost = model.estimate(launch, traits, ops);
-  if (!cost.feasible) {
-    p.feasible = false;
-    p.note = cost.infeasible_reason;
-    return p;
-  }
-  // One fused multi-layer launch charged the full range
-  // (gpu_engines.cpp).
-  p.seconds = cost.phases.total();
-  return p;
-}
-
-// Predicted kernel seconds of the optimised kernel over one device's
-// trial slice; mirrors run_optimized_on_device.
-simgpu::KernelCost optimized_range_cost(const Portfolio& portfolio,
-                                        const Yet& yet,
-                                        const EngineConfig& cfg,
-                                        const simgpu::GpuCostModel& model,
-                                        std::size_t begin, std::size_t end) {
-  simgpu::KernelTraits traits;
-  traits.loss_bytes = cfg.use_float ? 4 : 8;
-  traits.chunked = cfg.chunking;
-  traits.mlp_per_thread = cfg.chunking ? std::min(cfg.chunk_size, 16u) : 1;
-  traits.scratch_in_global = !cfg.chunking && !cfg.use_registers;
-  traits.scratch_in_registers = cfg.use_registers;
-  traits.unrolled = cfg.unroll;
-
-  simgpu::LaunchConfig launch;
-  launch.block_threads = cfg.block_threads;
-  launch.grid_blocks = static_cast<unsigned>(
-      (end - begin + cfg.block_threads - 1) / cfg.block_threads);
-  launch.shared_bytes_per_block =
-      cfg.chunking ? optimized_shared_bytes(cfg.block_threads, cfg.chunk_size)
-                   : 0;
-  launch.regs_per_thread = cfg.use_registers ? 63 : 32;
-
-  OpCounts ops = range_fused_ops(portfolio, yet, begin, end);
-  const std::uint64_t scratch = ops.occurrence_ops * kScratchTouchesPerEvent;
-  if (traits.scratch_in_global) {
-    ops.global_updates = scratch;
-  } else if (!traits.scratch_in_registers) {
-    ops.shared_accesses = scratch;
-  }
-  return model.estimate(launch, traits, ops);
-}
-
-EnginePrediction predict_gpu_optimized(const Portfolio& portfolio,
-                                       const Yet& yet, const EngineConfig& cfg,
-                                       const simgpu::DeviceSpec& device) {
-  EnginePrediction p;
-  p.kind = EngineKind::kGpuOptimized;
-  const std::size_t trials = yet.trial_count();
-  const unsigned loss_bytes = cfg.use_float ? 4 : 8;
-  const std::uint64_t footprint =
-      tables_device_bytes(portfolio, loss_bytes) +
-      yet_device_bytes(yet, 0, trials) +
-      static_cast<std::uint64_t>(portfolio.layer_count()) * trials * loss_bytes;
-  if (footprint > device.global_mem_bytes) {
-    p.feasible = false;
-    p.note = "inputs exceed device memory";
-    return p;
-  }
-  const simgpu::GpuCostModel model(device);
-  const simgpu::KernelCost cost =
-      optimized_range_cost(portfolio, yet, cfg, model, 0, trials);
-  if (!cost.feasible) {
-    p.feasible = false;
-    p.note = cost.infeasible_reason;
-    return p;
-  }
-  p.seconds = cost.phases.total();
-  return p;
-}
-
-EnginePrediction predict_multi_gpu(const Portfolio& portfolio, const Yet& yet,
-                                   const EngineConfig& cfg,
-                                   const simgpu::DeviceSpec& device,
-                                   std::size_t gpu_count) {
-  EnginePrediction p;
-  p.kind = EngineKind::kMultiGpu;
-  if (gpu_count == 0) {
-    p.feasible = false;
-    p.note = "gpu_count is zero";
-    return p;
-  }
-  const unsigned loss_bytes = cfg.use_float ? 4 : 8;
-  const simgpu::GpuCostModel model(device);
-  const auto ranges = parallel::split_even(yet.trial_count(), gpu_count);
-  double slowest = 0.0;
-  for (const parallel::Range& r : ranges) {
-    if (r.empty()) continue;
-    const std::uint64_t footprint =
-        tables_device_bytes(portfolio, loss_bytes) +
-        yet_device_bytes(yet, r.begin, r.end) +
-        static_cast<std::uint64_t>(portfolio.layer_count()) * r.size() *
-            loss_bytes;
-    if (footprint > device.global_mem_bytes) {
-      p.feasible = false;
-      p.note = "device slice exceeds device memory";
-      return p;
-    }
-    const simgpu::KernelCost cost =
-        optimized_range_cost(portfolio, yet, cfg, model, r.begin, r.end);
-    if (!cost.feasible) {
-      p.feasible = false;
-      p.note = cost.infeasible_reason;
-      return p;
-    }
-    slowest = std::max(slowest, cost.phases.total());
-  }
-  // Devices run concurrently; the platform finishes with the slowest.
-  p.seconds = slowest;
-  return p;
 }
 
 }  // namespace
@@ -363,34 +186,35 @@ std::size_t AnalysisSession::pending_requests() {
 std::vector<EnginePrediction> AnalysisSession::predict(
     const Portfolio& portfolio, const Yet& yet,
     const ExecutionPolicy& policy) const {
+  // Each kind's own engine prices it: a cost-only run charges the
+  // simulated timeline without executing the sweep, exactly as the
+  // real run will (the replay the shard merge already relies on), so a
+  // prediction is the charged time by construction. A kind is
+  // infeasible only when its simulated device refuses the work; every
+  // other failure propagates.
+  EngineContext cost_only;
+  cost_only.cost_only = true;
   std::vector<EnginePrediction> out;
-  out.reserve(6);
   for (const EngineKind kind : all_engine_kinds()) {
-    const EngineConfig cfg = resolved_config(policy, kind);
-    switch (kind) {
-      case EngineKind::kSequentialReference:
-      case EngineKind::kSequentialFused:
-      case EngineKind::kMultiCore: {
-        EnginePrediction p;
-        p.kind = kind;
-        p.seconds = predict_cpu(portfolio, yet, cfg, kind);
-        out.push_back(std::move(p));
-        break;
+    ExecutionPolicy concrete = policy;
+    concrete.engine = kind;
+    const std::unique_ptr<Engine> engine = make_engine(concrete);
+    EnginePrediction p;
+    p.kind = kind;
+    p.feasible = false;
+    if (kind == EngineKind::kMultiGpu && policy.gpu_count == 0) {
+      p.note = "gpu_count is zero";  // no device to run on
+    } else {
+      try {
+        p.seconds = engine->run(portfolio, yet, cost_only).simulated_seconds;
+        p.feasible = true;
+      } catch (const DeviceMemoryExhausted&) {
+        p.note = "inputs exceed device memory";
+      } catch (const InfeasibleLaunch& e) {
+        p.note = e.limiter();
       }
-      case EngineKind::kGpuBasic:
-        out.push_back(
-            predict_gpu_basic(portfolio, yet, cfg, policy.gpu_device));
-        break;
-      case EngineKind::kGpuOptimized:
-        out.push_back(
-            predict_gpu_optimized(portfolio, yet, cfg, policy.gpu_device));
-        break;
-      case EngineKind::kMultiGpu:
-        out.push_back(predict_multi_gpu(portfolio, yet, cfg,
-                                        policy.multi_gpu_device,
-                                        policy.gpu_count));
-        break;
     }
+    out.push_back(std::move(p));
   }
   return out;
 }

@@ -20,9 +20,11 @@
 //     monolithic, sharded or adaptive — runs through the one
 //     trial-range loop (core/range_executor.hpp) on it, as a
 //     distributed run does over the lease fleet,
-//   * the cost models, used by ExecutionPolicy::kAuto to predict the
-//     simulated cost of every engine kind on the concrete workload
-//     and run the cheapest feasible one.
+//   * ExecutionPolicy::kAuto: every engine kind is priced by a
+//     cost-only run of its own engine on the concrete workload (the
+//     simulated timeline without the sweep), and the cheapest
+//     feasible one runs — so a prediction is exactly the simulated
+//     time the run then charges.
 //
 // Engine::run stays available as the thin one-shot compatibility
 // layer; the session is a superset (metrics, extensions, batching).
@@ -108,9 +110,16 @@ struct RaceResult {
 /// Cost-model prediction for one engine kind on one workload.
 struct EnginePrediction {
   EngineKind kind = EngineKind::kSequentialReference;
-  double seconds = 0.0;  ///< predicted simulated seconds (paper hardware)
-  bool feasible = true;  ///< launch shape + device memory fit
-  std::string note;      ///< why infeasible, when !feasible
+  /// Simulated seconds (paper hardware) of the kind's cost-only run:
+  /// bitwise the simulated_seconds its real run charges.
+  double seconds = 0.0;
+  /// False when the simulated device refuses the run: inputs beyond
+  /// its global memory, a launch shape the occupancy model rejects, or
+  /// no GPU at all (gpu_count = 0).
+  bool feasible = true;
+  /// Why infeasible: "inputs exceed device memory", the occupancy
+  /// limiter (e.g. "shared_memory_per_block"), or "gpu_count is zero".
+  std::string note;
 };
 
 class AnalysisSession {
@@ -167,8 +176,11 @@ class AnalysisSession {
                        const ExecutionPolicy& policy) const;
 
   /// Simulated-cost predictions of every engine kind for a workload
-  /// under `policy` (launch shapes and devices come from the policy).
-  /// This is the ranking kAuto selects from.
+  /// under `policy` (launch shapes and devices come from the policy):
+  /// each kind's engine, run with EngineContext::cost_only. This is
+  /// the ranking kAuto selects from. A device refusal makes a kind
+  /// infeasible; any other failure propagates (a zero launch shape,
+  /// an unsatisfiable kForceWidth, mismatched catalogues).
   std::vector<EnginePrediction> predict(const Portfolio& portfolio,
                                         const Yet& yet,
                                         const ExecutionPolicy& policy) const;

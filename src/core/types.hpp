@@ -2,6 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <new>
+#include <stdexcept>
+#include <string>
 
 namespace ara {
 
@@ -59,6 +62,31 @@ struct OpCounts {
   }
 
   friend bool operator==(const OpCounts&, const OpCounts&) = default;
+};
+
+// The simulated GPU's two refusals (simgpu/sim_device.hpp throws them).
+// An engine run that meets one cannot execute on that device at all;
+// kAuto prices such a kind as infeasible, while every other failure
+// propagates.
+
+/// An allocation beyond the card's global memory (cudaMalloc fails).
+class DeviceMemoryExhausted : public std::bad_alloc {
+ public:
+  const char* what() const noexcept override {
+    return "simulated device: allocation exceeds global memory";
+  }
+};
+
+/// A launch shape the occupancy model rejects; `limiter()` names the
+/// exhausted resource (e.g. "shared_memory_per_block").
+class InfeasibleLaunch : public std::runtime_error {
+ public:
+  InfeasibleLaunch(const std::string& what, const char* limiter)
+      : std::runtime_error(what), limiter_(limiter) {}
+  const char* limiter() const noexcept { return limiter_; }
+
+ private:
+  const char* limiter_;
 };
 
 }  // namespace ara

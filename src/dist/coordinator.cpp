@@ -132,7 +132,8 @@ struct ShardCoordinator::Impl final : RangeExecutor {
   std::string job_payload;  ///< encoded once
 
   // The local fallback's workload and engine, and the accept of
-  // run_ranges(); set by ShardCoordinator::run, live during run() only.
+  // run_ranges(); set by ShardCoordinator::run, live during run() only
+  // (run() clears them before it returns).
   const Portfolio* portfolio = nullptr;
   const Yet* yet = nullptr;
   const Engine* engine = nullptr;
@@ -177,7 +178,9 @@ struct ShardCoordinator::Impl final : RangeExecutor {
   /// poisons the run), then the accept of run_ranges(). The range
   /// counts as covered only after accept has returned and the ranges it
   /// issued are queued, so the run cannot complete while a barrier is
-  /// still extending the frontier. Caller does NOT hold the mutex.
+  /// still extending the frontier. A block arriving after run() has
+  /// returned re-completes a covered range: it is counted as a
+  /// duplicate and never merged. Caller does NOT hold the mutex.
   void accept_block(std::uint64_t lease_id, SimulationResult partial) {
     const std::uint64_t begin = partial.trial_begin;
     const std::uint64_t end = begin + partial.ylt.trial_count();
@@ -185,6 +188,10 @@ struct ShardCoordinator::Impl final : RangeExecutor {
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (!fatal.empty()) return;
+      if (accept == nullptr) {
+        ++counters.duplicate_blocks;
+        return;
+      }
       const auto it = done.find(begin);
       if (it != done.end()) {
         // A straggler re-completed a reassigned range. Same bytes:
@@ -470,7 +477,10 @@ struct ShardCoordinator::Impl final : RangeExecutor {
   /// Leases `ranges` (and every range an accept returns) to the fleet
   /// until all are accepted, degrading to local execution when the
   /// fleet is gone, then lets connected workers collect their done
-  /// grant and closes the listen socket. Throws the poisoning failure.
+  /// grant. The listen socket stays open and answered until the
+  /// coordinator is destroyed, so a worker that connects late is told
+  /// done instead of retrying against a closed address; a poisoned run
+  /// closes it at once. Throws the poisoning failure.
   void run(std::vector<TrialRange> ranges, const Accept& accept_fn) override {
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -530,12 +540,11 @@ struct ShardCoordinator::Impl final : RangeExecutor {
       accept_block(/*lease_id=*/0, std::move(partial));
     }
 
-    // Drain: let connected workers ask once more and collect kDone
-    // before the sockets vanish — tearing down immediately would strand
-    // a worker mid-request on a dead-but-listening address, where it
-    // would reconnect into the backlog and hang. Bounded: a stalled
-    // straggler must not hold the result hostage. Late duplicate blocks
-    // arriving in this window are still counted.
+    // Drain: let connected workers ask once more and collect kDone, so
+    // the returned counters include the duplicate blocks they send on
+    // the way out. Bounded: a stalled straggler must not hold the result
+    // hostage; it is still answered after run() returns.
+    bool poisoned = false;
     {
       std::unique_lock<std::mutex> lock(mutex);
       if (fatal.empty()) {
@@ -545,20 +554,26 @@ struct ShardCoordinator::Impl final : RangeExecutor {
         cv.wait_until(lock, drain_deadline,
                       [this] { return active_workers == 0; });
       }
+      poisoned = !fatal.empty();
     }
-    shutdown_threads();
-    // Refuse reconnects from here on (connection refused beats hanging
-    // in a backlog nobody accepts from); the destructor tolerates the
-    // early close.
-    if (listen_fd >= 0) {
-      ::close(listen_fd);
-      listen_fd = -1;
-    }
-    if (config.endpoint.kind == serve::Endpoint::Kind::kUnix) {
-      ::unlink(config.endpoint.path.c_str());
+    if (poisoned) {
+      // Drop every connection and refuse reconnects (connection refused
+      // beats hanging in a backlog nobody accepts from); the destructor
+      // tolerates the early close.
+      shutdown_threads();
+      if (listen_fd >= 0) {
+        ::close(listen_fd);
+        listen_fd = -1;
+      }
+      if (config.endpoint.kind == serve::Endpoint::Kind::kUnix) {
+        ::unlink(config.endpoint.path.c_str());
+      }
     }
     std::lock_guard<std::mutex> lock(mutex);
     accept = nullptr;
+    portfolio = nullptr;
+    yet = nullptr;
+    engine = nullptr;
     if (!fatal.empty()) throw std::runtime_error(fatal);
   }
 

@@ -21,6 +21,8 @@
 //                                   lease reassigned
 //   - all workers lost           -> the coordinator degrades to local
 //                                   execution of whatever is uncovered
+//   - worker arrives after the   -> told done: the coordinator answers
+//     run finished                  until it is destroyed
 //
 // Completion is idempotent by construction: DisjointRangeSet admits a
 // range exactly once, and a range that arrives again must match the
@@ -90,6 +92,8 @@ class ShardCoordinator {
   /// Binds and listens immediately (throws on bind failure); workers
   /// may connect as soon as the constructor returns.
   explicit ShardCoordinator(DistConfig config);
+  /// Stops answering: drops every worker connection and closes the
+  /// listen socket.
   ~ShardCoordinator();
 
   ShardCoordinator(const ShardCoordinator&) = delete;
@@ -113,7 +117,11 @@ class ShardCoordinator {
   /// cannot honour: an invalid metric or stopping spec, a spill
   /// without a path, or a session-only extension (core_simulation =
   /// false, reinstatement_terms, secondary_uncertainty). Blocking;
-  /// call once.
+  /// call once. After a successful run the coordinator keeps answering
+  /// until it is destroyed: a worker that connects late gets the job
+  /// and a done grant (reap spawned workers before destroying it), and
+  /// any block that still arrives is counted as a duplicate in
+  /// counters(), never merged.
   DistResult run(const AnalysisRequest& request);
 
  private:

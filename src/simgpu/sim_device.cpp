@@ -1,6 +1,5 @@
 #include "simgpu/sim_device.hpp"
 
-#include <new>
 #include <stdexcept>
 
 namespace ara::simgpu {
@@ -9,7 +8,7 @@ SimDevice::SimDevice(DeviceSpec spec) : model_(std::move(spec)) {}
 
 void SimDevice::alloc(std::uint64_t bytes) {
   if (allocated_ + bytes > spec().global_mem_bytes) {
-    throw std::bad_alloc();
+    throw DeviceMemoryExhausted();
   }
   allocated_ += bytes;
 }
@@ -35,9 +34,10 @@ KernelCost SimDevice::launch_cost_only(const std::string& name,
                                        const ara::OpCounts& ops) {
   KernelCost cost = model_.estimate(cfg, traits, ops);
   if (!cost.feasible) {
-    throw std::runtime_error("SimDevice::launch(" + name +
-                             "): infeasible launch configuration (" +
-                             cost.infeasible_reason + ")");
+    throw InfeasibleLaunch("SimDevice::launch(" + name +
+                               "): infeasible launch configuration (" +
+                               cost.infeasible_reason + ")",
+                           cost.infeasible_reason);
   }
   elapsed_ += cost.total_seconds;
   phases_ += cost.phases;

@@ -40,9 +40,10 @@ class SimDevice {
 
   // --- Device memory ------------------------------------------------------
 
-  /// Registers a device allocation of `bytes`. Throws std::bad_alloc
-  /// when the card's global memory would be exceeded (the real failure
-  /// mode that forces the YET to be stored compactly; see DESIGN.md).
+  /// Registers a device allocation of `bytes`. Throws
+  /// DeviceMemoryExhausted (a std::bad_alloc) when the card's global
+  /// memory would be exceeded (the real failure mode that forces the
+  /// YET to be stored compactly; see DESIGN.md).
   void alloc(std::uint64_t bytes);
 
   /// Releases a previously registered allocation.
@@ -70,10 +71,10 @@ class SimDevice {
   /// Functionally executes `kernel` for every (block, thread) of the
   /// grid and charges the simulated cost of the launch. `ops` are the
   /// operation counts of the whole launch (the engines compute them
-  /// analytically from the workload). Throws std::runtime_error if the
-  /// launch shape is infeasible on this device (e.g. shared memory per
-  /// block over the limit) — the same configurations the paper could
-  /// not run.
+  /// analytically from the workload). Throws InfeasibleLaunch (a
+  /// std::runtime_error) if the launch shape is infeasible on this
+  /// device (e.g. shared memory per block over the limit) — the same
+  /// configurations the paper could not run.
   KernelCost launch(const std::string& name, const LaunchConfig& cfg,
                     const KernelTraits& traits, const ara::OpCounts& ops,
                     const std::function<void(const ThreadCtx&)>& kernel);

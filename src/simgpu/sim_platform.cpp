@@ -6,18 +6,9 @@
 namespace ara::simgpu {
 
 SimPlatform::SimPlatform(const DeviceSpec& spec, std::size_t count)
-    : pool_(count) {
-  if (count == 0) {
-    throw std::invalid_argument("SimPlatform: at least one device required");
-  }
-  devices_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    devices_.push_back(std::make_unique<SimDevice>(spec));
-  }
-}
+    : SimPlatform(std::vector<DeviceSpec>(count, spec)) {}
 
-SimPlatform::SimPlatform(std::vector<DeviceSpec> specs)
-    : pool_(specs.size()) {
+SimPlatform::SimPlatform(std::vector<DeviceSpec> specs) {
   if (specs.empty()) {
     throw std::invalid_argument("SimPlatform: at least one device required");
   }
@@ -25,14 +16,21 @@ SimPlatform::SimPlatform(std::vector<DeviceSpec> specs)
   for (auto& s : specs) {
     devices_.push_back(std::make_unique<SimDevice>(std::move(s)));
   }
+  if (devices_.size() > 1) {
+    pool_ = std::make_unique<parallel::ThreadPool>(devices_.size());
+  }
 }
 
 void SimPlatform::for_each_device(
     const std::function<void(std::size_t)>& work) {
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    pool_.submit([&work, i] { work(i); });
+  if (!pool_) {
+    work(0);
+    return;
   }
-  pool_.wait_idle();
+  for (std::size_t i = 0; i < devices_.size(); ++i) {
+    pool_->submit([&work, i] { work(i); });
+  }
+  pool_->wait_idle();
 }
 
 double SimPlatform::elapsed_seconds() const {

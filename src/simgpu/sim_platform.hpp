@@ -4,7 +4,8 @@
 // host thread pool — functionally concurrent, exactly as the paper's
 // CPU threads invoke and manage one GPU each — and the platform-level
 // simulated time is the maximum over the devices' serialised
-// timelines (devices run in parallel with each other).
+// timelines (devices run in parallel with each other). A one-device
+// platform has no pool: the calling thread drives its GPU.
 #pragma once
 
 #include <cstddef>
@@ -32,7 +33,8 @@ class SimPlatform {
 
   /// Runs `work(device_index)` for every device on the host thread
   /// pool (one CPU thread drives one GPU, as in the paper) and blocks
-  /// until all complete.
+  /// until all complete; a lone device runs on the calling thread.
+  /// The first failure is rethrown as thrown.
   void for_each_device(const std::function<void(std::size_t)>& work);
 
   /// Platform simulated time: max over device timelines (devices
@@ -52,7 +54,7 @@ class SimPlatform {
 
  private:
   std::vector<std::unique_ptr<SimDevice>> devices_;
-  parallel::ThreadPool pool_;
+  std::unique_ptr<parallel::ThreadPool> pool_;  ///< null for one device
 };
 
 }  // namespace ara::simgpu

@@ -439,6 +439,33 @@ TEST(DistCoordinator, RejectsBadRequestsBeforeAnyWork) {
   }
 }
 
+// A worker that reaches the coordinator after the run has finished is
+// told done and exits 0 at once: the coordinator answers until it is
+// destroyed.
+TEST(DistCoordinator, LateWorkerIsToldDone) {
+  const serve::SynthSpec spec = tiny_spec();
+  DistConfig config;
+  config.endpoint = unique_endpoint("late");
+  config.job = job_for(spec, EngineKind::kSequentialFused);
+  config.lease_trials = 120;
+  config.lease_timeout_ms = 4000;
+  config.first_worker_grace_ms = 0;  // no fleet: run every lease locally
+  config.expected_workers = 1;
+  ShardCoordinator coordinator(config);
+  const DistResult result = coordinator.run(metrics_request());
+  EXPECT_EQ(result.counters.local_shards, 2u);
+
+  const auto started = std::chrono::steady_clock::now();
+  const pid_t late = spawn_worker(coordinator.endpoint(), "late_1");
+  EXPECT_EQ(reap(late), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - started,
+            std::chrono::seconds(5));
+  const DistCounters after = coordinator.counters();
+  EXPECT_EQ(after.workers_joined, result.counters.workers_joined + 1);
+  EXPECT_EQ(after.leases_granted, result.counters.leases_granted);
+  EXPECT_EQ(after.workers_lost, 0u);
+}
+
 // ---- hand-spoken protocol: idempotent completion ---------------------
 
 /// A test-side client that speaks the lease dialect frame by frame.

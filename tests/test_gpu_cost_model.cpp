@@ -1,10 +1,14 @@
 // Calibration tests: the cost model must land on the paper's published
 // timings for the paper's workload (1.5e10 lookups, 1e9 event fetches)
-// at the paper's launch configurations. Tolerances are ~10% — the model
-// is analytic, not a curve fit per figure.
+// at the paper's launch configurations — the engines' own kernel plans
+// at paper_config. Tolerances are ~10% — the model is analytic, not a
+// curve fit per figure.
 #include "simgpu/gpu_cost_model.hpp"
 
 #include <gtest/gtest.h>
+
+#include "core/engine_factory.hpp"
+#include "core/gpu_engines.hpp"
 
 namespace ara::simgpu {
 namespace {
@@ -21,49 +25,32 @@ ara::OpCounts paper_ops() {
   return ops;
 }
 
-KernelTraits basic_traits() {
-  KernelTraits t;
-  t.loss_bytes = 8;
-  t.mlp_per_thread = 1;
-  t.chunked = false;
-  t.scratch_in_global = true;
-  return t;
+// The engines' own kernel plans at the paper's configuration
+// (core/gpu_engines.hpp) over `trials` trials doing `ops` of work.
+ara::KernelPlan basic_plan(ara::OpCounts ops, unsigned block = 256,
+                           std::size_t trials = 1'000'000) {
+  ara::EngineConfig cfg = ara::paper_config(ara::EngineKind::kGpuBasic);
+  cfg.block_threads = block;
+  return ara::basic_kernel_plan(cfg, trials, ops);
 }
 
-KernelTraits optimized_traits() {
-  KernelTraits t;
-  t.loss_bytes = 4;
-  t.mlp_per_thread = 16;
-  t.chunked = true;
-  t.scratch_in_global = false;
-  t.scratch_in_registers = true;
-  t.unrolled = true;
-  return t;
+ara::KernelPlan optimized_plan(ara::OpCounts ops, unsigned block = 32,
+                               std::size_t trials = 1'000'000) {
+  ara::EngineConfig cfg = ara::paper_config(ara::EngineKind::kGpuOptimized);
+  cfg.block_threads = block;
+  return ara::optimized_kernel_plan(cfg, trials, ops);
 }
 
-LaunchConfig basic_launch(unsigned block) {
-  LaunchConfig c;
-  c.block_threads = block;
-  c.grid_blocks = static_cast<unsigned>((1'000'000 + block - 1) / block);
-  c.regs_per_thread = 20;
-  return c;
-}
-
-LaunchConfig optimized_launch(unsigned block) {
-  LaunchConfig c;
-  c.block_threads = block;
-  c.grid_blocks = static_cast<unsigned>((1'000'000 + block - 1) / block);
-  c.shared_bytes_per_block = static_cast<std::size_t>(block) * 88 * 8 + 256;
-  c.regs_per_thread = 63;
-  return c;
+KernelCost price(const GpuCostModel& model, const ara::KernelPlan& plan) {
+  return model.estimate(plan.launch, plan.traits, plan.ops);
 }
 
 TEST(GpuCostModel, BasicKernelMatchesPaper38s) {
   const GpuCostModel model(tesla_c2075());
-  ara::OpCounts ops = paper_ops();
-  ops.global_updates = ops.occurrence_ops * 5;
-  const KernelCost cost =
-      model.estimate(basic_launch(256), basic_traits(), ops);
+  const ara::KernelPlan plan = basic_plan(paper_ops());
+  // Algorithm 1's scratch: 5 global-memory touches per event.
+  EXPECT_EQ(plan.ops.global_updates, plan.ops.occurrence_ops * 5);
+  const KernelCost cost = price(model, plan);
   ASSERT_TRUE(cost.feasible);
   // Paper: 38.47-38.49 s on the C2075.
   EXPECT_NEAR(cost.total_seconds, 38.5, 3.5);
@@ -73,8 +60,7 @@ TEST(GpuCostModel, BasicKernelMatchesPaper38s) {
 
 TEST(GpuCostModel, OptimizedKernelMatchesPaper20s) {
   const GpuCostModel model(tesla_c2075());
-  const KernelCost cost =
-      model.estimate(optimized_launch(32), optimized_traits(), paper_ops());
+  const KernelCost cost = price(model, optimized_plan(paper_ops()));
   ASSERT_TRUE(cost.feasible);
   // Paper: 20.63 s total; 20.1 s lookup; 0.11 s financial+layer;
   // < 0.5 s fetch.
@@ -96,9 +82,8 @@ TEST(GpuCostModel, QuarterWorkloadOnM2090MatchesPaper4_35s) {
   ops.financial_ops /= 4;
   ops.occurrence_ops /= 4;
   ops.aggregate_ops /= 4;
-  LaunchConfig launch = optimized_launch(32);
-  launch.grid_blocks /= 4;
-  const KernelCost cost = model.estimate(launch, optimized_traits(), ops);
+  const KernelCost cost =
+      price(model, optimized_plan(ops, 32, 1'000'000 / 4));
   ASSERT_TRUE(cost.feasible);
   EXPECT_NEAR(cost.total_seconds, 4.35, 0.45);
   // Paper: lookup 4.25 s, financial+layer 0.02 s, fetch < 0.1 s.
@@ -108,9 +93,7 @@ TEST(GpuCostModel, QuarterWorkloadOnM2090MatchesPaper4_35s) {
 
 TEST(GpuCostModel, LookupShareOnMultiGpuIs97Percent) {
   const GpuCostModel model(tesla_m2090());
-  ara::OpCounts ops = paper_ops();
-  LaunchConfig launch = optimized_launch(32);
-  const KernelCost cost = model.estimate(launch, optimized_traits(), ops);
+  const KernelCost cost = price(model, optimized_plan(paper_ops()));
   // Paper: "97.54% of the total time is for look-up".
   EXPECT_GT(cost.phases[perf::Phase::kLossLookup] / cost.total_seconds, 0.93);
 }
@@ -127,8 +110,7 @@ TEST(GpuCostModel, LatencyHidingCurveShape) {
 
 TEST(GpuCostModel, InfeasibleLaunchReported) {
   const GpuCostModel model(tesla_c2075());
-  const KernelCost cost =
-      model.estimate(optimized_launch(128), optimized_traits(), paper_ops());
+  const KernelCost cost = price(model, optimized_plan(paper_ops(), 128));
   EXPECT_FALSE(cost.feasible);
   EXPECT_STREQ(cost.infeasible_reason, "shared_memory_per_block");
 }
@@ -142,16 +124,14 @@ TEST(GpuCostModel, TransferUsesPcieBandwidth) {
 TEST(GpuCostModel, CostsScaleLinearlyInWork) {
   const GpuCostModel model(tesla_c2075());
   ara::OpCounts ops = paper_ops();
-  const KernelCost full =
-      model.estimate(basic_launch(256), basic_traits(), ops);
+  const KernelCost full = price(model, basic_plan(ops));
   ara::OpCounts half = ops;
   half.event_fetches /= 2;
   half.elt_lookups /= 2;
   half.financial_ops /= 2;
   half.occurrence_ops /= 2;
   half.aggregate_ops /= 2;
-  const KernelCost half_cost =
-      model.estimate(basic_launch(256), basic_traits(), half);
+  const KernelCost half_cost = price(model, basic_plan(half));
   EXPECT_NEAR(half_cost.phases[perf::Phase::kLossLookup] * 2.0,
               full.phases[perf::Phase::kLossLookup], 1e-9);
 }
@@ -159,10 +139,8 @@ TEST(GpuCostModel, CostsScaleLinearlyInWork) {
 TEST(GpuCostModel, M2090FasterThanC2075) {
   const GpuCostModel c(tesla_c2075());
   const GpuCostModel m(tesla_m2090());
-  const KernelCost tc =
-      c.estimate(optimized_launch(32), optimized_traits(), paper_ops());
-  const KernelCost tm =
-      m.estimate(optimized_launch(32), optimized_traits(), paper_ops());
+  const KernelCost tc = price(c, optimized_plan(paper_ops()));
+  const KernelCost tm = price(m, optimized_plan(paper_ops()));
   EXPECT_LT(tm.total_seconds, tc.total_seconds);
 }
 

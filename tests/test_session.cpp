@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/session.hpp"
@@ -177,26 +180,130 @@ TEST(SessionAuto, PredictionsReproducePaperRanking) {
   EXPECT_LT(t_mc, t_seq);
 }
 
-// A prediction is the engine's simulated time computed without
-// executing: running the predicted kind must report (almost) exactly
-// the predicted simulated seconds.
+// A prediction is the engine's own cost-only run, so running the
+// predicted kind charges exactly the predicted simulated seconds, and a
+// kAuto run reports the time it was chosen for.
 TEST(SessionAuto, PredictionMatchesEngineSimulatedTime) {
-  const synth::Scenario s = synth::multi_layer_book(3, 150, 5);
-  AnalysisSession session;
-  const std::vector<EnginePrediction> predictions =
-      session.predict(s.portfolio, s.yet);
+  EngineConfig plain = paper_config(EngineKind::kGpuOptimized);
+  plain.use_float = false;
+  plain.chunking = false;
+  plain.use_registers = false;
+  struct Case {
+    const char* name;
+    synth::Scenario s;
+    std::optional<EngineConfig> config;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"book", synth::multi_layer_book(3, 150, 5), std::nullopt});
+  cases.push_back({"paper", synth::paper_scaled(20000, 33), std::nullopt});
+  cases.push_back({"paper, optimisations off", synth::paper_scaled(20000, 33),
+                   plain});
 
-  for (const EnginePrediction& p : predictions) {
-    if (!p.feasible) continue;
+  for (const Case& c : cases) {
+    ExecutionPolicy policy = ExecutionPolicy::auto_select();
+    policy.config = c.config;
+    AnalysisSession session(policy);
     AnalysisRequest request;
-    request.portfolio = &s.portfolio;
-    request.yet = &s.yet;
-    request.policy = ExecutionPolicy::with_engine(p.kind);
-    const AnalysisResult result = session.run(request);
-    EXPECT_NEAR(result.simulation.simulated_seconds, p.seconds,
-                1e-6 * p.seconds)
-        << engine_kind_name(p.kind);
+    request.portfolio = &c.s.portfolio;
+    request.yet = &c.s.yet;
+    for (const EnginePrediction& p : session.predict(c.s.portfolio, c.s.yet)) {
+      ASSERT_TRUE(p.feasible) << c.name << ": " << engine_kind_name(p.kind);
+      ExecutionPolicy concrete = policy;
+      concrete.engine = p.kind;
+      request.policy = concrete;
+      EXPECT_EQ(session.run(request).simulation.simulated_seconds, p.seconds)
+          << c.name << ": " << engine_kind_name(p.kind);
+    }
+    request.policy.reset();
+    const AnalysisResult chosen = session.run(request);
+    EXPECT_TRUE(chosen.auto_selected);
+    EXPECT_EQ(chosen.predicted_seconds, chosen.simulation.simulated_seconds)
+        << c.name;
   }
+}
+
+bool is_gpu_kind(EngineKind kind) {
+  return kind == EngineKind::kGpuBasic || kind == EngineKind::kGpuOptimized ||
+         kind == EngineKind::kMultiGpu;
+}
+
+// A device too small for the inputs refuses every GPU kind's
+// allocation: each is infeasible, naming device memory, and kAuto runs
+// a CPU kind.
+TEST(SessionAuto, DeviceMemoryRefusalMakesGpuKindsInfeasible) {
+  const synth::Scenario s = synth::paper_scaled(20000, 33);
+  ExecutionPolicy policy = ExecutionPolicy::auto_select();
+  policy.gpu_device.global_mem_bytes = 4 * 1024;
+  policy.multi_gpu_device.global_mem_bytes = 4 * 1024;
+  AnalysisSession session(policy);
+  for (const EnginePrediction& p : session.predict(s.portfolio, s.yet)) {
+    EXPECT_EQ(p.feasible, !is_gpu_kind(p.kind)) << engine_kind_name(p.kind);
+    if (is_gpu_kind(p.kind)) {
+      EXPECT_NE(p.note.find("device memory"), std::string::npos) << p.note;
+    }
+  }
+  AnalysisRequest request;
+  request.portfolio = &s.portfolio;
+  request.yet = &s.yet;
+  const AnalysisResult result = session.run(request);
+  ASSERT_TRUE(result.engine.has_value());
+  EXPECT_FALSE(is_gpu_kind(*result.engine)) << engine_kind_name(*result.engine);
+  EXPECT_EQ(result.predicted_seconds, result.simulation.simulated_seconds);
+}
+
+// Figure 4's edge: at 128 threads per block the optimised kernel's
+// staged chunks overflow shared memory and the occupancy model refuses
+// its launch; the basic kernel stages nothing and still runs.
+TEST(SessionAuto, InfeasibleLaunchNamesTheLimiter) {
+  const synth::Scenario s = synth::paper_scaled(20000, 33);
+  ExecutionPolicy policy = ExecutionPolicy::auto_select();
+  EngineConfig cfg = paper_config(EngineKind::kGpuOptimized);
+  cfg.block_threads = 128;
+  policy.config = cfg;
+  const AnalysisSession session(policy);
+  for (const EnginePrediction& p : session.predict(s.portfolio, s.yet)) {
+    const bool staged = p.kind == EngineKind::kGpuOptimized ||
+                        p.kind == EngineKind::kMultiGpu;
+    EXPECT_EQ(p.feasible, !staged) << engine_kind_name(p.kind);
+    if (staged) EXPECT_EQ(p.note, "shared_memory_per_block");
+  }
+}
+
+// Without GPUs the multi-GPU kind has no device to run on; kAuto still
+// picks and runs another kind.
+TEST(SessionAuto, ZeroGpusMakesMultiGpuInfeasible) {
+  const synth::Scenario s = synth::tiny(64, 11);
+  ExecutionPolicy policy = ExecutionPolicy::auto_select();
+  policy.gpu_count = 0;
+  AnalysisSession session(policy);
+  for (const EnginePrediction& p : session.predict(s.portfolio, s.yet)) {
+    EXPECT_EQ(p.feasible, p.kind != EngineKind::kMultiGpu)
+        << engine_kind_name(p.kind);
+    if (!p.feasible) EXPECT_EQ(p.note, "gpu_count is zero");
+  }
+  AnalysisRequest request;
+  request.portfolio = &s.portfolio;
+  request.yet = &s.yet;
+  const AnalysisResult result = session.run(request);
+  ASSERT_TRUE(result.engine.has_value());
+  EXPECT_NE(*result.engine, EngineKind::kMultiGpu);
+  EXPECT_EQ(result.simulation.ylt.trial_count(), s.yet.trial_count());
+}
+
+// An unsatisfiable SIMD width is an error, not an infeasible kind:
+// pricing around it would quietly send kAuto to sequential_reference,
+// which ignores the SIMD policy.
+TEST(SessionAuto, UnsatisfiableForcedWidthStillThrows) {
+  const synth::Scenario s = synth::tiny(64, 11);
+  ExecutionPolicy policy = ExecutionPolicy::auto_select();
+  policy.simd = simd::SimdPolicy::kForceWidth;
+  policy.simd_width = 3;  // no ISA has three lanes
+  AnalysisSession session(policy);
+  EXPECT_THROW((void)session.predict(s.portfolio, s.yet), std::runtime_error);
+  AnalysisRequest request;
+  request.portfolio = &s.portfolio;
+  request.yet = &s.yet;
+  EXPECT_THROW((void)session.run(request), std::runtime_error);
 }
 
 // Extension hooks ride along with a normal analysis.

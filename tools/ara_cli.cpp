@@ -83,6 +83,7 @@
 
 #include "core/engine_factory.hpp"
 #include "dist/coordinator.hpp"
+#include "int_flag.hpp"
 #include "core/metrics/convergence.hpp"
 #include "core/metrics/risk_measures.hpp"
 #include "core/session.hpp"
@@ -208,24 +209,14 @@ std::string get(const std::map<std::string, std::string>& flags,
   return it == flags.end() ? fallback : it->second;
 }
 
-// Every integer flag is a count or a size: the whole value must parse
-// and be non-negative, so "2k" or "-1" is an error rather than 2, or a
-// cast to 2^64 - 1 by the caller.
-long get_long(const std::map<std::string, std::string>& flags,
-              const std::string& key, long fallback) {
+// An integer flag as the type it fills (tools/int_flag.hpp): "2k",
+// "-1" or a value past T's range throws, naming the flag.
+template <typename T>
+T get_int(const std::map<std::string, std::string>& flags,
+          const std::string& key, T fallback) {
   const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  const std::string& value = it->second;
-  std::size_t consumed = 0;
-  long parsed = -1;
-  try {
-    parsed = std::stol(value, &consumed);
-  } catch (const std::exception&) {
-  }
-  if (consumed != value.size() || parsed < 0) {
-    throw std::invalid_argument("bad integer for --" + key + ": " + value);
-  }
-  return parsed;
+  return it == flags.end() ? fallback
+                           : tools::parse_int_flag<T>("--" + key, it->second);
 }
 
 double get_double(const std::map<std::string, std::string>& flags,
@@ -308,14 +299,13 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
   const std::string out = get(flags, "out", "");
   if (out.empty()) usage("generate requires --out DIR");
 
-  const auto trials = static_cast<std::size_t>(get_long(flags, "trials", 10000));
-  const double events = static_cast<double>(
-      get_long(flags, "events-per-trial", 1000));
-  const auto catalogue = static_cast<EventId>(
-      get_long(flags, "catalogue", 100000));
-  const auto elts = static_cast<std::size_t>(get_long(flags, "elts", 15));
-  const auto layers = static_cast<std::size_t>(get_long(flags, "layers", 1));
-  const auto seed = static_cast<std::uint64_t>(get_long(flags, "seed", 2013));
+  const auto trials = get_int<std::size_t>(flags, "trials", 10000);
+  const auto events = static_cast<double>(
+      get_int<std::size_t>(flags, "events-per-trial", 1000));
+  const auto catalogue = get_int<EventId>(flags, "catalogue", 100000);
+  const auto elts = get_int<std::size_t>(flags, "elts", 15);
+  const auto layers = get_int<std::size_t>(flags, "layers", 1);
+  const auto seed = get_int<std::uint64_t>(flags, "seed", 2013);
 
   synth::Catalogue cat = synth::Catalogue::make(catalogue, 6, 1000.0);
   synth::YetGeneratorConfig yc;
@@ -420,10 +410,9 @@ AnalysisResult run_distributed(const std::map<std::string, std::string>& flags,
       "unix:/tmp/ara_dist_" + std::to_string(::getpid()) + ".sock");
   config.job = job;
   config.expected_workers = workers;
-  config.lease_trials =
-      static_cast<std::uint64_t>(get_long(flags, "shard-trials", 0));
+  config.lease_trials = get_int<std::uint64_t>(flags, "shard-trials", 0);
   config.lease_timeout_ms =
-      static_cast<std::uint64_t>(get_long(flags, "lease-timeout-ms", 1000));
+      get_int<std::uint64_t>(flags, "lease-timeout-ms", 1000);
 
   dist::ShardCoordinator coordinator(config);
   const std::string worker_bin = sibling_binary("ara_worker");
@@ -528,10 +517,8 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
     metrics::StoppingSpec sspec;
     sspec.relative_tolerance = get_double(flags, "target-rel-err", 0.05);
     sspec.confidence = get_double(flags, "confidence", sspec.confidence);
-    sspec.min_trials = static_cast<std::size_t>(
-        get_long(flags, "min-trials", static_cast<long>(sspec.min_trials)));
-    sspec.max_trials =
-        static_cast<std::size_t>(get_long(flags, "max-trials", 0));
+    sspec.min_trials = get_int(flags, "min-trials", sspec.min_trials);
+    sspec.max_trials = get_int<std::size_t>(flags, "max-trials", 0);
     if (flags.count("stop-metric")) {
       sspec.targets.clear();
       std::stringstream ss(flags.at("stop-metric"));
@@ -556,11 +543,9 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   }
 
   ExecutionPolicy policy;
-  policy.gpu_count = static_cast<std::size_t>(get_long(flags, "gpus", 4));
-  policy.shard_trials =
-      static_cast<std::size_t>(get_long(flags, "shard-trials", 0));
-  const auto budget_mib =
-      static_cast<std::size_t>(get_long(flags, "memory-budget", 0));
+  policy.gpu_count = get_int<std::size_t>(flags, "gpus", 4);
+  policy.shard_trials = get_int<std::size_t>(flags, "shard-trials", 0);
+  const auto budget_mib = get_int<std::size_t>(flags, "memory-budget", 0);
   if (budget_mib > std::numeric_limits<std::size_t>::max() >> 20) {
     throw std::invalid_argument("--memory-budget " +
                                 std::to_string(budget_mib) +
@@ -576,9 +561,10 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
     std::string mode = simd_arg;
     if (const auto colon = simd_arg.find(':'); colon != std::string::npos) {
       mode = simd_arg.substr(0, colon);
-      const long width = std::strtol(simd_arg.c_str() + colon + 1, nullptr, 10);
-      if (mode != "force" || width <= 0) usage("bad --simd value: " + simd_arg);
-      policy.simd_width = static_cast<unsigned>(width);
+      const auto width =
+          tools::parse_int_flag<unsigned>("--simd", simd_arg.substr(colon + 1));
+      if (mode != "force" || width == 0) usage("bad --simd value: " + simd_arg);
+      policy.simd_width = width;
     }
     const auto parsed = simd::simd_policy_from_name(mode);
     if (!parsed) usage("bad --simd value: " + simd_arg);
@@ -594,13 +580,11 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   // the run and to the auto-mode predictions, so the selection prices
   // exactly the configurations it chooses between.
   const auto apply_tuning = [&flags](EngineConfig cfg) {
-    cfg.cores = static_cast<unsigned>(get_long(flags, "cores", cfg.cores));
-    cfg.threads_per_core = static_cast<unsigned>(
-        get_long(flags, "threads-per-core", cfg.threads_per_core));
-    cfg.block_threads = static_cast<unsigned>(
-        get_long(flags, "block-threads", cfg.block_threads));
-    cfg.chunk_size = static_cast<unsigned>(
-        get_long(flags, "chunk-size", cfg.chunk_size));
+    cfg.cores = get_int(flags, "cores", cfg.cores);
+    cfg.threads_per_core =
+        get_int(flags, "threads-per-core", cfg.threads_per_core);
+    cfg.block_threads = get_int(flags, "block-threads", cfg.block_threads);
+    cfg.chunk_size = get_int(flags, "chunk-size", cfg.chunk_size);
     return cfg;
   };
 
@@ -662,7 +646,7 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
   request.policy = resolved;
   request.stopping = stopping;
 
-  const auto workers = static_cast<std::size_t>(get_long(flags, "workers", 0));
+  const auto workers = get_int<std::size_t>(flags, "workers", 0);
   if (workers == 0 &&
       (flags.count("failpoints") || flags.count("lease-timeout-ms"))) {
     usage("--failpoints / --lease-timeout-ms need --workers N");
@@ -839,15 +823,12 @@ int cmd_race(const std::map<std::string, std::string>& flags) {
   spec.objective = parse_target(get(flags, "objective", "aal"), "objective");
   spec.minimize = flags.count("maximize") == 0;
   spec.confidence = get_double(flags, "confidence", spec.confidence);
-  spec.min_trials = static_cast<std::size_t>(
-      get_long(flags, "min-trials", static_cast<long>(spec.min_trials)));
-  spec.max_trials = static_cast<std::size_t>(get_long(flags, "max-trials", 0));
-  spec.seed = static_cast<std::uint64_t>(
-      get_long(flags, "seed", static_cast<long>(spec.seed)));
+  spec.min_trials = get_int(flags, "min-trials", spec.min_trials);
+  spec.max_trials = get_int<std::size_t>(flags, "max-trials", 0);
+  spec.seed = get_int(flags, "seed", spec.seed);
 
   ExecutionPolicy policy;
-  policy.shard_trials =
-      static_cast<std::size_t>(get_long(flags, "shard-trials", 0));
+  policy.shard_trials = get_int<std::size_t>(flags, "shard-trials", 0);
   if (const std::string engine_name = get(flags, "engine", "");
       !engine_name.empty()) {
     const std::optional<EngineKind> named = engine_kind_from_name(engine_name);
@@ -898,7 +879,7 @@ int cmd_report(const std::map<std::string, std::string>& flags) {
   const std::string ylt_path = get(flags, "ylt", "");
   if (ylt_path.empty()) usage("report requires --ylt FILE");
   const Ylt ylt = io::load_ylt(ylt_path);
-  const auto layer = static_cast<std::size_t>(get_long(flags, "layer", 0));
+  const auto layer = get_int<std::size_t>(flags, "layer", 0);
   if (layer >= ylt.layer_count()) usage("--layer out of range");
 
   const metrics::LayerRiskSummary m = metrics::summarize_layer(ylt, layer);

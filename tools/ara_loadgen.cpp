@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "int_flag.hpp"
 #include "perf/report.hpp"
 #include "serve/loadgen.hpp"
 
@@ -53,14 +54,14 @@ using namespace ara::serve;
   std::exit(2);
 }
 
-long parse_long(const std::string& value, const std::string& flag) {
+// An integer flag as the type it fills (tools/int_flag.hpp); a bad
+// value is a usage error naming the flag.
+template <typename T>
+T int_flag(const std::string& value, const std::string& flag) {
   try {
-    std::size_t consumed = 0;
-    const long parsed = std::stol(value, &consumed);
-    if (consumed != value.size() || parsed < 0) throw std::exception();
-    return parsed;
-  } catch (const std::exception&) {
-    usage("bad value for " + flag + ": " + value);
+    return ara::tools::parse_int_flag<T>(flag, value);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
@@ -150,34 +151,31 @@ int main(int argc, char** argv) {
       }
       LoadTenantSpec spec;
       spec.name = parts[0];
-      spec.weight = static_cast<std::uint32_t>(parse_long(parts[1], arg));
+      spec.weight = int_flag<std::uint32_t>(parts[1], arg);
       spec.rate_hz = parse_double(parts[2], arg);
-      spec.requests = static_cast<std::size_t>(parse_long(parts[3], arg));
+      spec.requests = int_flag<std::size_t>(parts[3], arg);
       if (parts.size() == 5) {
-        spec.deadline_ms =
-            static_cast<std::uint64_t>(parse_long(parts[4], arg));
+        spec.deadline_ms = int_flag<std::uint64_t>(parts[4], arg);
       }
       config.tenants.push_back(std::move(spec));
     } else if (arg == "--trials") {
-      synth.trials = static_cast<std::uint64_t>(parse_long(value(), arg));
+      synth.trials = int_flag<std::uint64_t>(value(), arg);
     } else if (arg == "--events-per-trial") {
       synth.events_per_trial = parse_double(value(), arg);
     } else if (arg == "--catalogue") {
-      synth.catalogue = static_cast<std::uint32_t>(parse_long(value(), arg));
+      synth.catalogue = int_flag<std::uint32_t>(value(), arg);
     } else if (arg == "--dataset") {
       dataset = value();
     } else if (arg == "--seed") {
-      config.seed = static_cast<std::uint64_t>(parse_long(value(), arg));
+      config.seed = int_flag<std::uint64_t>(value(), arg);
     } else if (arg == "--json") {
       json_path = value();
     } else if (arg == "--retries") {
-      config.max_retries = static_cast<std::size_t>(parse_long(value(), arg));
+      config.max_retries = int_flag<std::size_t>(value(), arg);
     } else if (arg == "--retry-base-ms") {
-      config.retry_base_ms =
-          static_cast<std::uint64_t>(parse_long(value(), arg));
+      config.retry_base_ms = int_flag<std::uint64_t>(value(), arg);
     } else if (arg == "--retry-cap-ms") {
-      config.retry_cap_ms =
-          static_cast<std::uint64_t>(parse_long(value(), arg));
+      config.retry_cap_ms = int_flag<std::uint64_t>(value(), arg);
     } else {
       usage("unknown flag: " + arg);
     }

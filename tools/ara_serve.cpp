@@ -31,6 +31,7 @@
 #include <unistd.h>
 
 #include "core/engine_factory.hpp"
+#include "int_flag.hpp"
 #include "io/binary.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -63,14 +64,14 @@ void on_signal(int) {
   [[maybe_unused]] const auto n = ::write(g_signal_pipe[1], &byte, 1);
 }
 
-long parse_long(const std::string& value, const std::string& flag) {
+// An integer flag as the type it fills (tools/int_flag.hpp); a bad
+// value is a usage error naming the flag.
+template <typename T>
+T int_flag(const std::string& value, const std::string& flag) {
   try {
-    std::size_t consumed = 0;
-    const long parsed = std::stol(value, &consumed);
-    if (consumed != value.size() || parsed < 0) throw std::exception();
-    return parsed;
-  } catch (const std::exception&) {
-    usage("bad value for " + flag + ": " + value);
+    return ara::tools::parse_int_flag<T>(flag, value);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
   }
 }
 
@@ -107,25 +108,22 @@ int main(int argc, char** argv) {
       std::string mode = spec;
       if (const auto colon = spec.find(':'); colon != std::string::npos) {
         mode = spec.substr(0, colon);
-        const long width = parse_long(spec.substr(colon + 1), arg);
-        if (mode != "force" || width <= 0) usage("bad --simd value: " + spec);
-        simd_width = static_cast<unsigned>(width);
+        simd_width = int_flag<unsigned>(spec.substr(colon + 1), arg);
+        if (mode != "force" || simd_width == 0) {
+          usage("bad --simd value: " + spec);
+        }
       }
       const auto parsed = ara::simd::simd_policy_from_name(mode);
       if (!parsed) usage("bad --simd value: " + spec);
       simd_policy = *parsed;
     } else if (arg == "--max-inflight") {
-      options.max_inflight =
-          static_cast<std::size_t>(parse_long(value(), arg));
+      options.max_inflight = int_flag<std::size_t>(value(), arg);
     } else if (arg == "--quantum") {
-      options.quantum_trials =
-          static_cast<std::uint64_t>(parse_long(value(), arg));
+      options.quantum_trials = int_flag<std::uint64_t>(value(), arg);
     } else if (arg == "--byte-budget") {
-      options.global_byte_budget =
-          static_cast<std::size_t>(parse_long(value(), arg));
+      options.global_byte_budget = int_flag<std::size_t>(value(), arg);
     } else if (arg == "--session-workers") {
-      options.session_workers =
-          static_cast<std::size_t>(parse_long(value(), arg));
+      options.session_workers = int_flag<std::size_t>(value(), arg);
     } else if (arg == "--tenant") {
       const std::string spec = value();
       TenantConfig cfg;
@@ -137,11 +135,10 @@ int main(int argc, char** argv) {
       const auto c2 = spec.find(':', c1 + 1);
       const std::string weight = spec.substr(
           c1 + 1, c2 == std::string::npos ? std::string::npos : c2 - c1 - 1);
-      cfg.weight = static_cast<std::uint32_t>(parse_long(weight, arg));
+      cfg.weight = int_flag<std::uint32_t>(weight, arg);
       if (cfg.weight == 0) usage("--tenant weight must be >= 1");
       if (c2 != std::string::npos) {
-        cfg.max_queue_depth =
-            static_cast<std::size_t>(parse_long(spec.substr(c2 + 1), arg));
+        cfg.max_queue_depth = int_flag<std::size_t>(spec.substr(c2 + 1), arg);
       }
       tenants.push_back(std::move(cfg));
     } else if (arg == "--dataset") {

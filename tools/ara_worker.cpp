@@ -22,6 +22,7 @@
 
 #include "core/failpoint.hpp"
 #include "dist/worker.hpp"
+#include "int_flag.hpp"
 
 namespace {
 
@@ -37,6 +38,17 @@ namespace {
       "  worker.crash_mid_shard=1:7:0:1;stream.torn_frame=0.5\n"
       "(requires a build with ARA_FAILPOINTS=ON).\n";
   std::exit(2);
+}
+
+// An integer flag as the type it fills (tools/int_flag.hpp); a bad
+// value is a usage error naming the flag, before any connection.
+template <typename T>
+T int_flag(const std::string& value, const std::string& flag) {
+  try {
+    return ara::tools::parse_int_flag<T>(flag, value);
+  } catch (const std::invalid_argument& e) {
+    usage(e.what());
+  }
 }
 
 }  // namespace
@@ -59,10 +71,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--id") {
       id = value();
     } else if (arg == "--seed") {
-      seed = std::strtoull(value().c_str(), nullptr, 10);
+      seed = int_flag<std::uint64_t>(value(), arg);
     } else if (arg == "--max-attempts") {
-      max_attempts = static_cast<unsigned>(
-          std::strtoul(value().c_str(), nullptr, 10));
+      max_attempts = int_flag<unsigned>(value(), arg);
     } else if (arg == "--failpoints") {
       failpoints = value();
     } else {
