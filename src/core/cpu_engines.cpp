@@ -23,16 +23,20 @@ namespace {
 // ranges touch disjoint YLT elements, and within one range every
 // layer's writes are contiguous — workers never share a cache line
 // except at range boundaries. The per-trial work is the dispatched
-// SoA kernel (core/simd/): scalar in the default bitwise-reference
-// mode, vectorized under SimdPolicy::kAuto/kForceWidth.
-void sweep_trials(const Yet& yet, const simd::BoundPortfolio<double>& bp,
+// SoA kernel (core/simd/) over the trial's covered occurrences: scalar
+// in the default bitwise-reference mode, vectorized under
+// SimdPolicy::kAuto/kForceWidth.
+void sweep_trials(const Yet& yet, const TableStore<double>& tables,
+                  const simd::BoundPortfolio<double>& bp,
                   const simd::SweepKernel<double>& kernel,
                   parallel::Range range, std::size_t out_base, Ylt& ylt) {
   simd::PortfolioTrialState<double> state(bp);
+  std::vector<EventOccurrence> scratch;
   for (std::size_t b = range.begin; b < range.end; ++b) {
     const auto t = static_cast<TrialId>(b);
     const auto row = static_cast<TrialId>(b - out_base);
-    kernel.sweep(bp, yet.trial(t), state);
+    kernel.sweep(bp, covered_occurrences(tables, yet.trial(t), scratch),
+                 state);
     for (std::size_t a = 0; a < bp.layers; ++a) {
       ylt.annual_loss(a, row) = state.annual[a];
       ylt.max_occurrence_loss(a, row) = state.max_occurrence[a];
@@ -70,8 +74,8 @@ SimulationResult FusedSequentialEngine::run(const Portfolio& portfolio,
     const simd::BoundPortfolio<double> bp =
         simd::bind_portfolio(portfolio, *tables);
     result.ylt = Ylt(portfolio.layer_count(), range.size());
-    sweep_trials(yet, bp, kernel, {range.begin, range.end}, range.begin,
-                 result.ylt);
+    sweep_trials(yet, *tables, bp, kernel, {range.begin, range.end},
+                 range.begin, result.ylt);
     result.wall_seconds = wall.seconds();
   }
 
@@ -131,7 +135,7 @@ SimulationResult MultiCoreEngine::run(const Portfolio& portfolio,
     parallel::ThreadPool& pool =
         context.pool != nullptr ? *context.pool : cached_pool();
     parallel::parallel_for(pool, range.size(), [&](parallel::Range r) {
-      sweep_trials(yet, bp, kernel,
+      sweep_trials(yet, *tables, bp, kernel,
                    {range.begin + r.begin, range.begin + r.end}, range.begin,
                    result.ylt);
     });

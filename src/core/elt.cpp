@@ -1,6 +1,7 @@
 #include "core/elt.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ara {
@@ -28,8 +29,9 @@ Elt::Elt(std::vector<EventLoss> records, FinancialTerms terms,
     if (r.event == prev) {
       throw std::invalid_argument("Elt: duplicate event id");
     }
-    if (!(r.loss >= 0.0)) {
-      throw std::invalid_argument("Elt: losses must be non-negative");
+    if (!(r.loss >= 0.0) || !std::isfinite(r.loss)) {
+      throw std::invalid_argument("Elt: losses must be finite and "
+                                  "non-negative");
     }
     prev = r.event;
   }

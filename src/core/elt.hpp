@@ -30,9 +30,9 @@ class Elt {
   Elt() = default;
 
   /// Builds an ELT from records. Records are sorted by event id;
-  /// duplicate event ids or ids outside [1, catalogue_size] throw
-  /// std::invalid_argument. Zero losses are kept (they are legal, just
-  /// wasteful).
+  /// duplicate event ids, ids outside [1, catalogue_size], negative or
+  /// non-finite losses and invalid terms throw std::invalid_argument.
+  /// Zero losses are kept (they are legal, just wasteful).
   Elt(std::vector<EventLoss> records, FinancialTerms terms,
       EventId catalogue_size);
 

@@ -116,6 +116,8 @@ struct EngineConfig {
 
   // Profiling.
   bool profile_phases = false;    ///< measure per-phase wall time (slower)
+
+  friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
 };
 
 /// Result of one aggregate risk analysis run. May be *partial*: when

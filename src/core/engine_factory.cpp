@@ -86,6 +86,11 @@ std::unique_ptr<Engine> make_engine(const ExecutionPolicy& policy) {
   throw std::invalid_argument("make_engine: unknown kind");
 }
 
+bool binds_float_tables(EngineKind kind, const EngineConfig& cfg) {
+  return (kind == EngineKind::kGpuOptimized || kind == EngineKind::kMultiGpu) &&
+         cfg.use_float;
+}
+
 EngineConfig paper_config(EngineKind kind) {
   EngineConfig cfg;
   switch (kind) {

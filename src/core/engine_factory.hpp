@@ -115,6 +115,13 @@ EngineConfig resolved_config(const ExecutionPolicy& policy, EngineKind kind);
 /// ExecutionPolicy exists to kill. Build a policy instead.)
 std::unique_ptr<Engine> make_engine(const ExecutionPolicy& policy);
 
+/// True when the engine make_engine builds for `kind` under `cfg` binds
+/// float tables (EngineContext::tables_f32); false when it binds
+/// tables_f64. Only the optimised GPU kinds honour use_float. Whoever
+/// prebuilds tables for an engine (the session's cache, a fleet
+/// process's per-job tables) builds this precision.
+bool binds_float_tables(EngineKind kind, const EngineConfig& cfg);
+
 /// The paper's configuration for each implementation (8 cores with 256
 /// threads/core for the multi-core engine, 256 threads/block basic,
 /// 32 threads/block optimised, 4 GPUs).

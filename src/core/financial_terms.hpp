@@ -12,6 +12,7 @@
 // fx_rate=share=1, retention=0, limit=inf makes the term a no-op.
 #pragma once
 
+#include <cmath>
 #include <limits>
 
 namespace ara {
@@ -26,10 +27,12 @@ struct FinancialTerms {
   /// Identity terms (no transformation of the ground-up loss).
   static FinancialTerms identity() { return {}; }
 
-  /// True if the fields define a meaningful contract.
+  /// True if the fields define a meaningful contract. The exchange
+  /// rate must be finite: an event the ELT does not record costs
+  /// 0 * fx_rate, which an infinite rate turns into NaN.
   bool valid() const {
-    return fx_rate >= 0.0 && retention >= 0.0 && limit >= 0.0 &&
-           share >= 0.0 && share <= 1.0;
+    return fx_rate >= 0.0 && std::isfinite(fx_rate) && retention >= 0.0 &&
+           limit >= 0.0 && share >= 0.0 && share <= 1.0;
   }
 
   friend bool operator==(const FinancialTerms&,

@@ -54,10 +54,11 @@ double kernel_seconds(const perf::PhaseBreakdown& phases) {
 
 // The functional half of a fused launch at precision Real: the
 // dispatched SoA kernel (scalar in the bitwise-reference mode,
-// vectorized under kAuto) and the portfolio bound to its tables.
+// vectorized under kAuto), the tables and the portfolio bound to them.
 template <typename Real>
 struct FusedSweep {
   simd::SweepKernel<Real> kernel;
+  const TableStore<Real>* tables = nullptr;
   simd::BoundPortfolio<Real> bp;
 };
 
@@ -80,11 +81,11 @@ FusedSweep<Real> prepare_sweep(const EngineConfig& cfg,
                                const EngineContext& context,
                                TableStore<Real>& local) {
   FusedSweep<Real> sweep{
-      simd::select_kernel<Real>(cfg.simd, cfg.simd_width), {}};
+      simd::select_kernel<Real>(cfg.simd, cfg.simd_width), nullptr, {}};
   if (!context.cost_only) {
-    sweep.bp = simd::bind_portfolio(
-        portfolio,
-        *select_tables(context_tables<Real>(context), local, portfolio));
+    sweep.tables =
+        select_tables(context_tables<Real>(context), local, portfolio);
+    sweep.bp = simd::bind_portfolio(portfolio, *sweep.tables);
   }
   return sweep;
 }
@@ -92,8 +93,9 @@ FusedSweep<Real> prepare_sweep(const EngineConfig& cfg,
 // Charges one launch on `dev` shaped by `launch` and `traits` for `ops`
 // of work over global trials [begin, end). With a sweep (a real run)
 // the launch also executes: one fused multi-layer pass per thread,
-// each walking its trial once and updating every layer, so the YET
-// slice crosses the memory system once instead of once per layer.
+// each walking its trial's covered occurrences once and updating every
+// layer, so the YET slice crosses the memory system once instead of
+// once per layer.
 // Thread rows land at (trial - out_base) of `out`. The launch shape
 // and traits never change a result: the simulator charges them, and
 // the functional pass is the dispatched sweep whatever the shape.
@@ -111,16 +113,21 @@ void launch_fused(simgpu::SimDevice& dev, const std::string& kernel_name,
   const std::size_t trials = end - begin;
   const simd::SweepKernel<Real>& kernel = sweep->kernel;
   const simd::BoundPortfolio<Real>& bp = sweep->bp;
-  // Running state; SimDevice executes the functor thread by thread on
-  // this host thread, so one buffer serves the whole launch.
+  // Running state and occurrence scratch; SimDevice executes the
+  // functor thread by thread on this host thread, so one of each serves
+  // the whole launch.
   simd::PortfolioTrialState<Real> state(bp);
+  std::vector<EventOccurrence> scratch;
   dev.launch(
       kernel_name, launch, traits, ops,
       [&](const simgpu::SimDevice::ThreadCtx& ctx) {
         if (ctx.global_id() >= trials) return;  // guard threads past range
         const TrialId t = static_cast<TrialId>(begin + ctx.global_id());
         const auto row = static_cast<TrialId>(t - out_base);
-        kernel.sweep(bp, yet.trial(t), state);
+        kernel.sweep(bp,
+                     covered_occurrences(*sweep->tables, yet.trial(t),
+                                         scratch),
+                     state);
         for (std::size_t a = 0; a < bp.layers; ++a) {
           out.annual_loss(a, row) = static_cast<double>(state.annual[a]);
           out.max_occurrence_loss(a, row) =
@@ -472,12 +479,15 @@ SimulationResult GpuCombinedTableEngine::run(
   launch_ops.shared_accesses = result.ops.shared_accesses;
 
   TableStore<double> local;
+  const TableStore<double>* tables =
+      context.cost_only ? nullptr
+                        : select_tables(context.tables_f64, local, portfolio);
   const simd::BoundPortfolio<double> bp =
-      context.cost_only
-          ? simd::BoundPortfolio<double>{}
-          : simd::bind_portfolio(
-                portfolio, *select_tables(context.tables_f64, local,
-                                          portfolio));
+      context.cost_only ? simd::BoundPortfolio<double>{}
+                        : simd::bind_portfolio(portfolio, *tables);
+  // One scratch for every launch: SimDevice runs each launch's threads
+  // one after another on this host thread.
+  std::vector<EventOccurrence> scratch;
   for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
     if (context.cost_only) {
       dev.launch_cost_only("ara_combined_layer" + std::to_string(a), launch,
@@ -494,7 +504,8 @@ SimulationResult GpuCombinedTableEngine::run(
           const auto row = static_cast<TrialId>(ctx.global_id());
           double max_occ = 0.0, cumulative = 0.0;
           double prev_capped = 0.0, annual = 0.0;
-          for (const EventOccurrence& occ : yet.trial(t)) {
+          for (const EventOccurrence& occ :
+               covered_occurrences(*tables, yet.trial(t), scratch)) {
             simd::aggregate_step(
                 terms, simd::elt_sum(slots, simd::row_of(bp, occ.event)),
                 max_occ, cumulative, prev_capped, annual);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -13,24 +12,6 @@
 #include "parallel/partition.hpp"
 
 namespace ara {
-
-namespace {
-
-// An engine is reusable whenever kind + tunables + devices match; the
-// key serialises exactly the fields make_engine consumes.
-std::string engine_cache_key(EngineKind kind, const EngineConfig& c,
-                             const ExecutionPolicy& p) {
-  std::ostringstream key;
-  key << engine_kind_name(kind) << '|' << c.cores << '|' << c.threads_per_core
-      << '|' << c.block_threads << '|' << c.chunk_size << '|' << c.use_float
-      << c.unroll << c.use_registers << c.chunking << c.profile_phases << '|'
-      << static_cast<int>(c.simd) << ':' << c.simd_width << '|'
-      << p.gpu_device.name << '|' << p.multi_gpu_device.name << '|'
-      << p.gpu_count;
-  return key.str();
-}
-
-}  // namespace
 
 AnalysisSession::AnalysisSession(ExecutionPolicy default_policy,
                                  std::size_t workers)
@@ -77,11 +58,7 @@ EngineContext AnalysisSession::context_for(const Portfolio& portfolio,
                                            EngineKind kind,
                                            const EngineConfig& cfg,
                                            TablePins& pins) {
-  // Which table precision the engine will bind (gpu_engines.cpp /
-  // cpu_engines.cpp): only the optimised GPU kinds honour use_float.
-  const bool wants_float =
-      (kind == EngineKind::kGpuOptimized || kind == EngineKind::kMultiGpu) &&
-      cfg.use_float;
+  const bool wants_float = binds_float_tables(kind, cfg);
 
   const std::size_t layers = portfolio.layer_count();
   const std::size_t elts = portfolio.elt_count();
@@ -333,17 +310,17 @@ class AnalysisSession::ShardExecutor final : public RangeExecutor {
 
 const Engine& AnalysisSession::engine_for(EngineKind kind,
                                           const ExecutionPolicy& policy) {
-  const EngineConfig cfg = resolved_config(policy, kind);
-  const std::string key = engine_cache_key(kind, cfg, policy);
+  const EngineKey key{kind, resolved_config(policy, kind), policy.gpu_device,
+                      policy.multi_gpu_device, policy.gpu_count};
   std::lock_guard<std::mutex> lock(cache_mutex_);
-  auto it = engines_.find(key);
-  if (it == engines_.end()) {
-    ExecutionPolicy concrete = policy;
-    concrete.engine = kind;
-    concrete.config = cfg;
-    it = engines_.emplace(key, make_engine(concrete)).first;
+  for (const auto& [cached, engine] : engines_) {
+    if (cached == key) return *engine;
   }
-  return *it->second;
+  ExecutionPolicy concrete = policy;
+  concrete.engine = kind;
+  concrete.config = key.config;
+  engines_.emplace_back(key, make_engine(concrete));
+  return *engines_.back().second;
 }
 
 AnalysisResult AnalysisSession::run(const AnalysisRequest& request) {

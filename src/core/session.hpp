@@ -9,7 +9,8 @@
 // state:
 //
 //   * a default ExecutionPolicy (per-request overridable),
-//   * a cache of constructed engines, keyed by kind + configuration,
+//   * a cache of constructed engines, keyed by kind + configuration +
+//     devices (every DeviceSpec field),
 //   * a cache of built TableStores, keyed by portfolio identity +
 //     precision, so a batch of requests against one portfolio binds
 //     the direct-access tables exactly once (DESIGN.md §4),
@@ -39,6 +40,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/analysis_request.hpp"
@@ -295,8 +297,19 @@ class AnalysisSession {
   std::unique_ptr<parallel::ThreadPool> compute_pool_;  ///< handed to engines
   std::mutex shard_pool_mutex_;
   std::unique_ptr<parallel::ThreadPool> shard_pool_;  ///< shard scheduler
+  /// Everything make_engine consumes: a cached engine is reused only
+  /// when all of it matches, every DeviceSpec field included.
+  struct EngineKey {
+    EngineKind kind = EngineKind::kSequentialReference;
+    EngineConfig config;
+    simgpu::DeviceSpec gpu_device;
+    simgpu::DeviceSpec multi_gpu_device;
+    std::size_t gpu_count = 0;
+
+    friend bool operator==(const EngineKey&, const EngineKey&) = default;
+  };
   std::mutex cache_mutex_;
-  std::unordered_map<std::string, std::unique_ptr<Engine>> engines_;
+  std::vector<std::pair<EngineKey, std::unique_ptr<Engine>>> engines_;
   mutable std::mutex tables_mutex_;
   std::unordered_map<const Portfolio*, PortfolioTables> tables_;
 };

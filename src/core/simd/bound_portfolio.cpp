@@ -73,9 +73,15 @@ BoundPortfolio<Real> bind_portfolio(const Portfolio& portfolio,
       bp.retention.push_back(static_cast<Real>(t.retention));
       bp.limit.push_back(static_cast<Real>(t.limit));
       bp.share.push_back(share);
-      bp.fx_share.push_back(static_cast<Real>(t.fx_rate) * share);
-      bp.retention_share.push_back(static_cast<Real>(t.retention) * share);
-      bp.limit_share.push_back(static_cast<Real>(t.limit) * share);
+      // A zero share folds to all-zero terms, like a padding slot: the
+      // product would turn an unlimited cover's inf * 0 into NaN.
+      const bool zero = share == Real(0);
+      bp.fx_share.push_back(zero ? Real(0)
+                                 : static_cast<Real>(t.fx_rate) * share);
+      bp.retention_share.push_back(
+          zero ? Real(0) : static_cast<Real>(t.retention) * share);
+      bp.limit_share.push_back(zero ? Real(0)
+                                    : static_cast<Real>(t.limit) * share);
     }
     bp.elt_end.push_back(static_cast<std::uint32_t>(bp.table_base.size()));
     // Zero-term padding slots: they load the layer's first column

@@ -20,7 +20,9 @@
 //     lim*s) for s >= 0, so folding drops one multiply and one load
 //     per slot. The fold reassociates rounding, which the vector
 //     kernels' tolerance contract already admits — elt_sum
-//     (core/simd/steps.hpp) keeps the unfolded arrays,
+//     (core/simd/steps.hpp) keeps the unfolded arrays. A zero-share
+//     slot folds to all-zero terms (lim*s would be inf*0 = NaN for an
+//     unlimited cover), so it gives exactly +0.0, as padding does,
 //   * each layer's slot run padded to a multiple of kEltPad with
 //     all-zero terms (pointing at the layer's first table), so the
 //     vector combine loops are remainder-free: a zeroed slot

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -46,6 +47,8 @@ std::uint32_t block_identity(const Ylt& ylt) {
                 ylt.max_occurrence_raw().size() * sizeof(double));
 }
 
+}  // namespace
+
 ExecutionPolicy policy_for_job(const JobSpec& job) {
   const auto kind = engine_kind_from_name(job.engine);
   if (!kind) {
@@ -58,7 +61,27 @@ ExecutionPolicy policy_for_job(const JobSpec& job) {
   return policy;
 }
 
-}  // namespace
+JobTables::JobTables(const Portfolio& portfolio,
+                     const ExecutionPolicy& policy)
+    : use_float(binds_float_tables(*policy.engine,
+                                   resolved_config(policy, *policy.engine))) {
+  if (use_float) {
+    f32 = build_tables<float>(portfolio);
+  } else {
+    f64 = build_tables<double>(portfolio);
+  }
+}
+
+EngineContext JobTables::context(TrialRange trials) const {
+  EngineContext ctx;
+  if (use_float) {
+    ctx.tables_f32 = &f32;
+  } else {
+    ctx.tables_f64 = &f64;
+  }
+  ctx.trials = trials;
+  return ctx;
+}
 
 std::uint64_t backoff_delay_ms(std::uint64_t base_ms, std::uint64_t cap_ms,
                                unsigned attempt, std::uint64_t seed) {
@@ -131,13 +154,16 @@ struct ShardCoordinator::Impl final : RangeExecutor {
 
   std::string job_payload;  ///< encoded once
 
-  // The local fallback's workload and engine, and the accept of
-  // run_ranges(); set by ShardCoordinator::run, live during run() only
-  // (run() clears them before it returns).
+  // The local fallback's workload, policy and engine, and the accept
+  // of run_ranges(); set by ShardCoordinator::run, live during run()
+  // only (run() clears them before it returns). The fallback builds
+  // `local_tables` on its first shard and reuses them for the rest.
   const Portfolio* portfolio = nullptr;
   const Yet* yet = nullptr;
+  const ExecutionPolicy* policy = nullptr;
   const Engine* engine = nullptr;
   const Accept* accept = nullptr;
+  std::optional<JobTables> local_tables;
 
   std::thread accept_thread;
   std::thread monitor_thread;
@@ -526,15 +552,15 @@ struct ShardCoordinator::Impl final : RangeExecutor {
       }
       // Local fallback shard, executed outside the lock. Same engine,
       // same trial range: bitwise the rows a worker would have sent.
-      EngineContext ctx;
-      ctx.trials = TrialRange{static_cast<std::size_t>(local_range.first),
+      const TrialRange trials{static_cast<std::size_t>(local_range.first),
                               static_cast<std::size_t>(local_range.second)};
       SimulationResult partial;
       try {
-        partial = engine->run(*portfolio, *yet, ctx);
+        if (!local_tables) local_tables.emplace(*portfolio, *policy);
+        partial = engine->run(*portfolio, *yet, local_tables->context(trials));
       } catch (const std::exception& e) {
-        fail("shard [" + std::to_string(ctx.trials.begin) + ", " +
-             std::to_string(ctx.trials.end) + ") failed: " + e.what());
+        fail("shard [" + std::to_string(trials.begin) + ", " +
+             std::to_string(trials.end) + ") failed: " + e.what());
         continue;
       }
       accept_block(/*lease_id=*/0, std::move(partial));
@@ -573,7 +599,9 @@ struct ShardCoordinator::Impl final : RangeExecutor {
     accept = nullptr;
     portfolio = nullptr;
     yet = nullptr;
+    policy = nullptr;
     engine = nullptr;
+    local_tables.reset();
     if (!fatal.empty()) throw std::runtime_error(fatal);
   }
 
@@ -714,6 +742,7 @@ DistResult ShardCoordinator::run(const AnalysisRequest& request) {
   local.yet = &yet;
   impl.portfolio = &portfolio;
   impl.yet = &yet;
+  impl.policy = &policy;
   impl.engine = engine.get();
   DistResult result;
   result.analysis = run_ranges(

@@ -133,6 +133,27 @@ class ShardCoordinator {
   std::unique_ptr<Impl> impl_;
 };
 
+/// The engine policy a job names: its engine kind under that kind's
+/// paper configuration, with the job's SIMD fields. Workers and the
+/// coordinator's local fallback build their engines from it, so their
+/// blocks agree bit for bit. Throws std::invalid_argument for an
+/// unknown engine name.
+ExecutionPolicy policy_for_job(const JobSpec& job);
+
+/// The loss tables a job's engine binds, in the precision
+/// binds_float_tables names, built once per job and lent to every
+/// trial range a process runs for it.
+struct JobTables {
+  bool use_float = false;
+  TableStore<double> f64;
+  TableStore<float> f32;
+
+  JobTables(const Portfolio& portfolio, const ExecutionPolicy& policy);
+
+  /// An engine context over these tables for global trials `trials`.
+  EngineContext context(TrialRange trials) const;
+};
+
 /// Capped exponential backoff with deterministic jitter: attempt k
 /// (0-based) sleeps base * 2^k, capped, plus up to 25% jitter drawn
 /// from `seed` and k. Shared by the worker's reconnect loop and

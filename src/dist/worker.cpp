@@ -60,12 +60,14 @@ void heartbeat_loop(ConnState& conn, std::uint64_t period_ms) {
   }
 }
 
-/// The workload + engine, materialised once per process (every
-/// reconnect carries the same job, so there is nothing to rebuild).
+/// The workload, engine and loss tables, materialised once per process
+/// (every reconnect carries the same job, so there is nothing to
+/// rebuild) and shared by every lease.
 struct Materialized {
   Portfolio portfolio;
   Yet yet;
   std::unique_ptr<Engine> engine;
+  std::optional<JobTables> tables;
   JobSpec job;
 };
 
@@ -79,15 +81,9 @@ Materialized materialize(JobSpec job) {
     m.yet = io::load_yet(job.yet_path);
     m.portfolio = io::load_portfolio(job.portfolio_path);
   }
-  const auto kind = engine_kind_from_name(job.engine);
-  if (!kind) {
-    throw std::runtime_error("ara_worker: unknown engine kind \"" +
-                             job.engine + "\"");
-  }
-  ExecutionPolicy policy = ExecutionPolicy::with_engine(*kind);
-  policy.simd = static_cast<simd::SimdPolicy>(job.simd);
-  policy.simd_width = job.simd_width;
+  const ExecutionPolicy policy = policy_for_job(job);
   m.engine = make_engine(policy);
+  m.tables.emplace(m.portfolio, policy);
   m.job = std::move(job);
   return m;
 }
@@ -145,10 +141,10 @@ bool serve_connection(ConnState& conn, std::optional<Materialized>& mat,
     }
 
     conn.lease.store(grant.lease_id);
-    EngineContext ctx;
-    ctx.trials = TrialRange{static_cast<std::size_t>(grant.begin),
-                            static_cast<std::size_t>(grant.end)};
-    SimulationResult partial = mat->engine->run(mat->portfolio, mat->yet, ctx);
+    SimulationResult partial = mat->engine->run(
+        mat->portfolio, mat->yet,
+        mat->tables->context({static_cast<std::size_t>(grant.begin),
+                              static_cast<std::size_t>(grant.end)}));
 
     // worker.stall: go quiet with the shard computed but unsent —
     // heartbeats stop, the lease expires, the coordinator reassigns.

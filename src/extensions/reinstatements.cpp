@@ -103,16 +103,22 @@ ReinstatementResult ReinstatementEngine::run(
   const TrialRange range = trials.resolve(yet.trial_count());
   ReinstatementResult result(portfolio_.layer_count(), range.size());
   TableStore<double> local;
-  const simd::BoundPortfolio<double> bp = simd::bind_portfolio(
-      portfolio_, *select_tables(shared_tables, local, portfolio_));
+  const TableStore<double>& tables =
+      *select_tables(shared_tables, local, portfolio_);
+  const simd::BoundPortfolio<double> bp =
+      simd::bind_portfolio(portfolio_, tables);
 
-  // Each occurrence's loss before occurrence terms: the reinstatement
-  // walk applies its own occurrence limit and capacity.
+  // Each covered occurrence's loss before occurrence terms: the
+  // reinstatement walk applies its own occurrence limit and capacity.
+  // An uncovered occurrence's loss is 0, a recovery <= 0 the walk
+  // skips, so leaving it out changes no outcome.
+  std::vector<EventOccurrence> scratch;
   std::vector<double> occ_losses;
   for (std::size_t a = 0; a < portfolio_.layer_count(); ++a) {
     const simd::EltSlots<double> slots = simd::layer_slots(bp, a);
     for (std::size_t b = range.begin; b < range.end; ++b) {
-      const auto trial = yet.trial(static_cast<TrialId>(b));
+      const auto trial = covered_occurrences(
+          tables, yet.trial(static_cast<TrialId>(b)), scratch);
       occ_losses.clear();
       occ_losses.reserve(trial.size());
       for (const EventOccurrence& occ : trial) {

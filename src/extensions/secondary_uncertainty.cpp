@@ -1,6 +1,7 @@
 #include "extensions/secondary_uncertainty.hpp"
 
 #include <stdexcept>
+#include <vector>
 
 #include "core/simd/bound_portfolio.hpp"
 #include "core/simd/steps.hpp"
@@ -39,9 +40,12 @@ SimulationResult SecondaryUncertaintyEngine::run(
   // RNG sub-stream whose draws are consumed in per-layer order, so the
   // trial-major fusion would reorder nothing but is not needed either.
   TableStore<double> local;
-  const simd::BoundPortfolio<double> bp = simd::bind_portfolio(
-      portfolio, *select_tables(context.tables_f64, local, portfolio));
+  const TableStore<double>& tables =
+      *select_tables(context.tables_f64, local, portfolio);
+  const simd::BoundPortfolio<double> bp =
+      simd::bind_portfolio(portfolio, tables);
   result.ylt = Ylt(portfolio.layer_count(), range.size());
+  std::vector<EventOccurrence> scratch;
 
   const double mean_beta = config_.alpha / (config_.alpha + config_.beta);
 
@@ -56,14 +60,18 @@ SimulationResult SecondaryUncertaintyEngine::run(
           config_.seed, (static_cast<std::uint64_t>(a) << 40) | b));
       synth::BetaSampler damage(config_.alpha, config_.beta);
 
-      const auto trial = yet.trial(static_cast<TrialId>(b));
+      // Covered occurrences only: an uncovered event would draw
+      // nothing and add +0.0, so skipping it moves neither the
+      // sub-stream nor the result.
+      const auto trial = covered_occurrences(
+          tables, yet.trial(static_cast<TrialId>(b)), scratch);
       double max_occ = 0.0, cumulative = 0.0;
       double prev_capped = 0.0, annual = 0.0;
       for (const EventOccurrence& occ : trial) {
         const std::size_t row = simd::row_of(bp, occ.event);
-        // One damage draw per covered (occurrence, ELT), in slot order.
-        // An uncovered event draws nothing; its zero loss contributes
-        // exactly +0.0 to the sum.
+        // One damage draw per non-zero (occurrence, ELT) loss, in slot
+        // order; a zero loss draws nothing and contributes exactly +0.0
+        // to the sum.
         const double combined =
             simd::elt_sum(slots, [&](std::uint32_t j) {
               const double ground = slots.table_base[j][row];

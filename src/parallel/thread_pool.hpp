@@ -18,6 +18,12 @@ namespace ara::parallel {
 
 /// A minimal fixed-size thread pool with FIFO task queue.
 ///
+/// Each worker starts on its own CPU, round-robin over the CPUs the
+/// process may use from the one after its creator's, and keeps the
+/// full set as its affinity: on a host whose scheduler does not
+/// balance load, workers that all started on the creator's CPU would
+/// share it for good.
+///
 /// Exceptions thrown by tasks are captured; the first one is rethrown
 /// from `wait_idle()` so callers observe worker failures at the barrier.
 class ThreadPool {

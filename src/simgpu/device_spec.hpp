@@ -47,6 +47,8 @@ struct DeviceSpec {
   unsigned max_resident_threads() const {
     return sm_count * max_threads_per_sm;
   }
+
+  friend bool operator==(const DeviceSpec&, const DeviceSpec&) = default;
 };
 
 /// NVIDIA Tesla C2075: 448 cores (14 SMs x 32), 1.15 GHz, 5.375 GB,

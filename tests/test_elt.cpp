@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -68,6 +69,17 @@ TEST(Elt, RejectsDuplicateEvents) {
 
 TEST(Elt, RejectsNegativeLoss) {
   EXPECT_THROW(Elt({{3, -1.0}}, FinancialTerms::identity(), 10),
+               std::invalid_argument);
+}
+
+// An infinite loss would turn a later +0.0 step of its layer into
+// inf - inf = NaN, so skipping uncovered occurrences would not be exact.
+TEST(Elt, RejectsNonFiniteLoss) {
+  EXPECT_THROW(Elt({{3, std::numeric_limits<double>::infinity()}},
+                   FinancialTerms::identity(), 10),
+               std::invalid_argument);
+  EXPECT_THROW(Elt({{3, std::numeric_limits<double>::quiet_NaN()}},
+                   FinancialTerms::identity(), 10),
                std::invalid_argument);
 }
 

@@ -4,12 +4,24 @@
 // Year Loss Table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/engine_factory.hpp"
+#include "core/gpu_engines.hpp"
 #include "core/reference_engine.hpp"
+#include "core/simd/bound_portfolio.hpp"
+#include "core/simd/kernels.hpp"
 #include "core/trial_math.hpp"
+#include "extensions/reinstatements.hpp"
+#include "extensions/secondary_uncertainty.hpp"
 #include "synth/scenarios.hpp"
 
 namespace ara {
@@ -228,6 +240,231 @@ TEST(OracleIndependence, ReferenceIgnoresTheSharedStore) {
   const SimulationResult altered = fused->run(portfolio, yet, context);
   EXPECT_EQ(altered.ylt.annual_loss(0, 0), 1830.0);
   EXPECT_EQ(altered.ylt.annual_loss(0, 1), want.ylt.annual_loss(0, 1));
+}
+
+// --- covered-only sweeps ------------------------------------------
+
+// Every store-reading sweep skips the occurrences of events no ELT
+// records (TableStore::covered, covered_occurrences). The premise: such
+// an event's row is +0.0 in every slot, and a +0.0 step leaves every
+// running value bitwise unchanged, so a trial and its covered
+// subsequence give the same bits. The book below covers the bitmap's
+// word edges (events 1, 63, 64, 65 and the catalogue's last id, bit 63
+// of the last word), records event 64 with loss 0 only (covered, yet an
+// all-zero row), and puts financial, occurrence and aggregate terms on
+// its layers; the YET has a trial of uncovered events only.
+constexpr EventId kCoverageCatalogue = 191;  // 192 rows: three whole words
+
+Portfolio coverage_portfolio(std::size_t layers) {
+  FinancialTerms converted;
+  converted.fx_rate = 1.25;
+  converted.retention = 5.0;
+  converted.limit = 70.0;
+  converted.share = 0.75;
+  std::vector<Elt> elts;
+  elts.emplace_back(std::vector<EventLoss>{{1, 100.0},
+                                           {63, 40.0},
+                                           {64, 0.0},
+                                           {65, 75.0},
+                                           {120, 30.5},
+                                           {kCoverageCatalogue, 55.0}},
+                    FinancialTerms::identity(), kCoverageCatalogue);
+  elts.emplace_back(std::vector<EventLoss>{{2, 20.0},
+                                           {63, 25.0},
+                                           {65, 10.0},
+                                           {100, 60.0},
+                                           {kCoverageCatalogue, 5.0}},
+                    converted, kCoverageCatalogue);
+  LayerTerms xl;
+  xl.occ_retention = 10.0;
+  xl.occ_limit = 60.0;
+  xl.agg_retention = 15.0;
+  xl.agg_limit = 150.0;
+  LayerTerms aggregate;
+  aggregate.agg_retention = 50.0;
+  aggregate.agg_limit = 120.0;
+  std::vector<Layer> book = {Layer{"both", {0, 1}, LayerTerms::identity()},
+                             Layer{"converted", {1}, xl},
+                             Layer{"ground", {0}, aggregate}};
+  book.resize(layers);
+  return Portfolio(std::move(elts), std::move(book));
+}
+
+Yet coverage_yet() {
+  std::vector<std::vector<EventOccurrence>> trials = {
+      {{1, 1}, {3, 2}, {63, 3}, {64, 4}, {65, 5}, {66, 6}, {191, 7}},
+      {{3, 1}, {62, 2}, {66, 3}, {190, 4}},  // uncovered only
+      {},
+      {{64, 1}, {127, 2}, {64, 3}},  // covered, every loss 0
+      {{191, 1}, {190, 2}, {2, 3}, {128, 4}, {100, 5}, {65, 6}},
+  };
+  // Longer than the prefetch window before and after the cut.
+  const EventId cycle[] = {1,   3,   63,  62,  64,  65, 66,
+                           120, 127, 191, 190, 2,   100, 128};
+  std::vector<EventOccurrence>& mixed = trials.emplace_back();
+  for (Timestamp i = 0; i < 40; ++i) mixed.push_back({cycle[i % 14], i});
+  return Yet(trials, kCoverageCatalogue);
+}
+
+// `yet` without the occurrences of events no ELT of `portfolio`
+// records, decided from the records, not from the store's bitmap.
+Yet covered_only(const Portfolio& portfolio, const Yet& yet) {
+  std::set<EventId> recorded;
+  for (const Elt& elt : portfolio.elts()) {
+    for (const EventLoss& r : elt.records()) recorded.insert(r.event);
+  }
+  std::vector<std::vector<EventOccurrence>> trials;
+  for (TrialId t = 0; t < yet.trial_count(); ++t) {
+    std::vector<EventOccurrence>& kept = trials.emplace_back();
+    for (const EventOccurrence& occ : yet.trial(t)) {
+      if (recorded.count(occ.event) != 0) kept.push_back(occ);
+    }
+  }
+  return Yet(trials, yet.catalogue_size());
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+void expect_same_bits(const Ylt& got, const Ylt& want,
+                      const std::string& what) {
+  ASSERT_EQ(got.layer_count(), want.layer_count()) << what;
+  ASSERT_EQ(got.trial_count(), want.trial_count()) << what;
+  for (std::size_t a = 0; a < want.layer_count(); ++a) {
+    for (TrialId t = 0; t < want.trial_count(); ++t) {
+      EXPECT_EQ(bits(got.annual_loss(a, t)), bits(want.annual_loss(a, t)))
+          << what << " annual, layer " << a << " trial " << t;
+      EXPECT_EQ(bits(got.max_occurrence_loss(a, t)),
+                bits(want.max_occurrence_loss(a, t)))
+          << what << " max occ, layer " << a << " trial " << t;
+    }
+  }
+}
+
+// Every compiled kernel (scalar, and the widest vector ISA kAuto
+// finds), on the full trial and on covered_occurrences' span.
+template <typename Real>
+void expect_kernels_ignore_uncovered(std::size_t layers) {
+  const Portfolio portfolio = coverage_portfolio(layers);
+  const Yet yet = coverage_yet();
+  const Yet kept = covered_only(portfolio, yet);
+  const TableStore<Real> store = build_tables<Real>(portfolio);
+  ASSERT_EQ(store.covered.size(), (store.events + 63) / 64);
+  const simd::BoundPortfolio<Real> bp = simd::bind_portfolio(portfolio, store);
+  simd::PortfolioTrialState<Real> full(bp);
+  simd::PortfolioTrialState<Real> cut(bp);
+  std::vector<EventOccurrence> scratch;
+  for (const simd::SimdPolicy policy :
+       {simd::SimdPolicy::kScalar, simd::SimdPolicy::kAuto}) {
+    const simd::SweepKernel<Real> kernel = simd::select_kernel<Real>(policy);
+    const std::string what = std::to_string(layers) + "L/" +
+                             (sizeof(Real) == 4 ? "f32/" : "f64/") +
+                             simd::isa_name(kernel.isa);
+    for (TrialId t = 0; t < yet.trial_count(); ++t) {
+      const auto covered = covered_occurrences(store, yet.trial(t), scratch);
+      ASSERT_TRUE(std::ranges::equal(covered, kept.trial(t)))
+          << what << " trial " << t;
+      kernel.sweep(bp, yet.trial(t), full);
+      kernel.sweep(bp, covered, cut);
+      for (std::size_t a = 0; a < bp.layers; ++a) {
+        EXPECT_EQ(bits(cut.annual[a]), bits(full.annual[a]))
+            << what << " annual, layer " << a << " trial " << t;
+        EXPECT_EQ(bits(cut.max_occurrence[a]), bits(full.max_occurrence[a]))
+            << what << " max occ, layer " << a << " trial " << t;
+      }
+    }
+  }
+}
+
+TEST(CoveredOnly, KernelsGiveTheSameBitsOnTheCoveredSpan) {
+  for (const std::size_t layers : {1, 3}) {
+    expect_kernels_ignore_uncovered<double>(layers);
+    expect_kernels_ignore_uncovered<float>(layers);
+  }
+}
+
+TEST(CoveredOnly, EveryEngineMatchesItsRunWithoutUncoveredOccurrences) {
+  const Portfolio portfolio = coverage_portfolio(3);
+  const Yet yet = coverage_yet();
+  const Yet kept = covered_only(portfolio, yet);
+  ASSERT_LT(kept.occurrence_count(), yet.occurrence_count());
+
+  std::vector<std::pair<std::string, std::unique_ptr<Engine>>> engines;
+  for (const EngineKind kind : all_engine_kinds()) {
+    for (const bool use_float : {false, true}) {
+      for (const simd::SimdPolicy simd :
+           {simd::SimdPolicy::kScalar, simd::SimdPolicy::kAuto}) {
+        EngineConfig cfg = paper_config(kind);
+        cfg.use_float = use_float;
+        cfg.cores = 2;
+        cfg.threads_per_core = 2;
+        if (use_float && !binds_float_tables(kind, cfg)) continue;
+        ExecutionPolicy policy = ExecutionPolicy::with_engine(kind);
+        policy.config = cfg;
+        policy.gpu_count = 2;
+        policy.simd = simd;
+        engines.emplace_back(engine_kind_name(kind) +
+                                 (use_float ? "/f32/" : "/f64/") +
+                                 (simd == simd::SimdPolicy::kAuto ? "auto"
+                                                                  : "scalar"),
+                             make_engine(policy));
+      }
+    }
+  }
+  for (const bool use_float : {false, true}) {
+    EngineConfig cfg = paper_config(EngineKind::kGpuOptimized);
+    cfg.use_float = use_float;
+    const std::string precision = use_float ? "/f32" : "/f64";
+    engines.emplace_back(
+        "gpu_streamed" + precision,
+        std::make_unique<StreamedGpuEngine>(simgpu::tesla_c2075(), cfg));
+    engines.emplace_back(
+        "hetero_multi_gpu" + precision,
+        std::make_unique<HeterogeneousMultiGpuEngine>(
+            std::vector<simgpu::DeviceSpec>{simgpu::tesla_c2075(),
+                                            simgpu::tesla_m2090()},
+            cfg));
+  }
+  engines.emplace_back("gpu_combined_table",
+                       std::make_unique<GpuCombinedTableEngine>(
+                           simgpu::tesla_c2075(),
+                           paper_config(EngineKind::kGpuBasic)));
+  engines.emplace_back("secondary_uncertainty",
+                       std::make_unique<ext::SecondaryUncertaintyEngine>());
+
+  for (const auto& [what, engine] : engines) {
+    const SimulationResult full = engine->run(portfolio, yet);
+    for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
+      for (const TrialId t : {1u, 3u}) {  // no non-zero loss in the trial
+        EXPECT_EQ(bits(full.ylt.annual_loss(a, t)), bits(0.0))
+            << what << " layer " << a << " trial " << t;
+        EXPECT_EQ(bits(full.ylt.max_occurrence_loss(a, t)), bits(0.0))
+            << what << " layer " << a << " trial " << t;
+      }
+    }
+    expect_same_bits(engine->run(portfolio, kept).ylt, full.ylt, what);
+  }
+
+  ext::ReinstatementTerms terms;
+  terms.occ_retention = 8.0;
+  terms.occ_limit = 45.0;
+  terms.reinstatements = 1;
+  terms.upfront_premium = 12.0;
+  const ext::ReinstatementEngine reinstatements(
+      portfolio, std::vector<ext::ReinstatementTerms>(3, terms));
+  const ext::ReinstatementResult want = reinstatements.run(yet, nullptr);
+  const ext::ReinstatementResult got = reinstatements.run(kept, nullptr);
+  for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
+    for (TrialId t = 0; t < yet.trial_count(); ++t) {
+      EXPECT_EQ(bits(got.at(a, t).recovered), bits(want.at(a, t).recovered))
+          << "reinstatements layer " << a << " trial " << t;
+      EXPECT_EQ(bits(got.at(a, t).reinstated), bits(want.at(a, t).reinstated))
+          << "reinstatements layer " << a << " trial " << t;
+      EXPECT_EQ(bits(got.at(a, t).reinstatement_premium),
+                bits(want.at(a, t).reinstatement_premium))
+          << "reinstatements layer " << a << " trial " << t;
+    }
+  }
 }
 
 TEST(EngineFactory, AllKindsConstruct) {

@@ -92,6 +92,10 @@ TEST(FinancialTerms, ValidityChecks) {
   FinancialTerms neg_fx;
   neg_fx.fx_rate = -0.1;
   EXPECT_FALSE(neg_fx.valid());
+  // An event the ELT does not record would cost 0 * inf = NaN.
+  FinancialTerms inf_fx;
+  inf_fx.fx_rate = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(inf_fx.valid());
 }
 
 // Property sweep: output is bounded by share * limit, non-negative,

@@ -306,6 +306,35 @@ TEST(SessionAuto, UnsatisfiableForcedWidthStillThrows) {
   EXPECT_THROW((void)session.run(request), std::runtime_error);
 }
 
+// The engine cache keys on every device field: a device that differs
+// only in global memory gets its own engine, so the 4 KiB device
+// refuses the run and the full one accepts it, whichever the session
+// saw first.
+TEST(SessionEngineCache, DeviceDifferingOnlyInMemoryGetsItsOwnEngine) {
+  const synth::Scenario s = synth::paper_scaled(20000, 33);
+  const ExecutionPolicy full =
+      ExecutionPolicy::with_engine(EngineKind::kGpuBasic);
+  ExecutionPolicy small = full;
+  small.gpu_device.global_mem_bytes = 4 * 1024;
+  for (const bool small_first : {false, true}) {
+    AnalysisSession session;
+    AnalysisRequest request;
+    request.portfolio = &s.portfolio;
+    request.yet = &s.yet;
+    const auto run = [&](const ExecutionPolicy& policy) {
+      request.policy = policy;
+      return session.run(request);
+    };
+    if (small_first) {
+      EXPECT_THROW(run(small), DeviceMemoryExhausted);
+      EXPECT_NO_THROW(run(full));
+    } else {
+      EXPECT_NO_THROW(run(full));
+      EXPECT_THROW(run(small), DeviceMemoryExhausted);
+    }
+  }
+}
+
 // Extension hooks ride along with a normal analysis.
 TEST(SessionExtensions, ReinstatementHookFillsResult) {
   const synth::Scenario s = synth::tiny(64, 11);

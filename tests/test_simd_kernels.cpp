@@ -176,6 +176,42 @@ TEST(SimdDeterminism, AutoWithinToleranceOfScalar) {
   }
 }
 
+// A zero-share ELT under an unlimited cover adds exactly nothing, in
+// every ISA: its folded vector terms are all zero, not the NaN that
+// limit * share = inf * 0 would put in the clamp. The second layer
+// reads only the zero-share ELT, so the multi-layer apply sees it too.
+TEST(SimdDeterminism, ZeroShareUnlimitedEltAddsNothing) {
+  FinancialTerms no_share;  // limit stays +inf
+  no_share.share = 0.0;
+  std::vector<Elt> elts;
+  elts.emplace_back(std::vector<EventLoss>{{1, 100.0}, {2, 50.0}},
+                    FinancialTerms::identity(), 2);
+  elts.emplace_back(std::vector<EventLoss>{{1, 70.0}}, no_share, 2);
+  const Yet yet({{{1, 1}}, {{2, 1}}}, 2);
+  AnalysisSession session;
+  for (const std::size_t layers : {1, 2}) {
+    std::vector<Layer> book = {Layer{"A+B", {0, 1}, LayerTerms::identity()}};
+    if (layers == 2) book.push_back(Layer{"B", {1}, LayerTerms::identity()});
+    const Portfolio portfolio(elts, std::move(book));
+    for (const bool use_float : {false, true}) {
+      const EngineKind kind = use_float ? EngineKind::kGpuOptimized
+                                        : EngineKind::kSequentialFused;
+      const std::string what = std::to_string(layers) + "L/" +
+                               (use_float ? "f32" : "f64");
+      const Ylt scalar = run_with(session, portfolio, yet, kind,
+                                  simd::SimdPolicy::kScalar, use_float, 0);
+      ASSERT_EQ(scalar.annual_loss(0, 0), 100.0) << what;
+      ASSERT_EQ(scalar.annual_loss(0, 1), 50.0) << what;
+      if (layers == 2) {
+        ASSERT_EQ(scalar.annual_loss(1, 0), 0.0) << what;
+      }
+      expect_close(run_with(session, portfolio, yet, kind,
+                            simd::SimdPolicy::kAuto, use_float, 0),
+                   scalar, use_float ? 1e-5 : 1e-9, what + "/auto");
+    }
+  }
+}
+
 // --- dispatch ------------------------------------------------------
 
 TEST(SimdDispatch, ScalarPolicyAlwaysSelectsScalar) {

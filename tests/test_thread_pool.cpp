@@ -4,6 +4,12 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace ara::parallel {
 namespace {
@@ -86,6 +92,29 @@ TEST(ThreadPool, DestructorDrainsQueue) {
   }
   EXPECT_EQ(count.load(), 50);
 }
+
+#if defined(__linux__)
+// A worker's own CPU is where it starts, not a pin: every worker ends
+// up with the affinity it inherited from the thread that made the pool.
+TEST(ThreadPool, WorkersKeepTheCreatorsAffinity) {
+  cpu_set_t creator;
+  ASSERT_EQ(::sched_getaffinity(0, sizeof creator, &creator), 0);
+  constexpr std::size_t kWorkers = 6;
+  std::vector<cpu_set_t> seen(kWorkers);
+  std::atomic<std::size_t> started{0};
+  ThreadPool pool(kWorkers);
+  for (std::size_t i = 0; i < kWorkers; ++i) {
+    pool.submit([&, i] {
+      // Hold every task until all have started, so each worker runs one.
+      started.fetch_add(1);
+      while (started.load() < kWorkers) std::this_thread::yield();
+      ASSERT_EQ(::sched_getaffinity(0, sizeof seen[i], &seen[i]), 0);
+    });
+  }
+  pool.wait_idle();
+  for (const cpu_set_t& s : seen) EXPECT_TRUE(CPU_EQUAL(&s, &creator));
+}
+#endif
 
 }  // namespace
 }  // namespace ara::parallel
