@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/lookup_table.hpp"
-#include "core/trial_math.hpp"
 #include "synth/catalogue.hpp"
 #include "synth/elt_generator.hpp"
 #include "synth/rng.hpp"
@@ -90,18 +89,23 @@ BENCHMARK(BM_CompressedBitmapRank);
 // row-major combined table. On the GPU independent tables beat it
 // because the combined layout forces cooperative row loads; here we
 // measure the raw lookup path of each layout for one event across all
-// 15 ELTs. The combined layout is the engines' event-major TableStore.
-void BM_IndependentTables15(benchmark::State& state) {
+// 15 ELTs.
+std::vector<Elt> fifteen_elts() {
   std::vector<Elt> elts;
-  std::vector<std::unique_ptr<DirectAccessTable<double>>> tables;
   synth::Catalogue cat = synth::Catalogue::make(kCatalogue, 3, 100.0);
   for (int i = 0; i < 15; ++i) {
     synth::EltGeneratorConfig cfg;
     cfg.record_count = kRecords / 10;
     cfg.seed = 100 + i;
     elts.push_back(synth::generate_elt(cat, cfg));
-    tables.push_back(
-        std::make_unique<DirectAccessTable<double>>(elts.back()));
+  }
+  return elts;
+}
+
+void BM_IndependentTables15(benchmark::State& state) {
+  std::vector<std::unique_ptr<DirectAccessTable<double>>> tables;
+  for (const Elt& elt : fifteen_elts()) {
+    tables.push_back(std::make_unique<DirectAccessTable<double>>(elt));
   }
   const auto& ps = probes();
   std::size_t i = 0;
@@ -113,27 +117,23 @@ void BM_IndependentTables15(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
 }
 
+// Row e holds event e's loss under each of the 15 ELTs, side by side.
 void BM_CombinedTable15(benchmark::State& state) {
-  std::vector<Elt> elts;
-  synth::Catalogue cat = synth::Catalogue::make(kCatalogue, 3, 100.0);
-  for (int i = 0; i < 15; ++i) {
-    synth::EltGeneratorConfig cfg;
-    cfg.record_count = kRecords / 10;
-    cfg.seed = 100 + i;
-    elts.push_back(synth::generate_elt(cat, cfg));
+  constexpr std::size_t kWidth = 15;
+  const std::vector<Elt> elts = fifteen_elts();
+  std::vector<double> combined((std::size_t{kCatalogue} + 1) * kWidth, 0.0);
+  for (std::size_t j = 0; j < kWidth; ++j) {
+    for (const EventLoss& r : elts[j].records()) {
+      combined[std::size_t{r.event} * kWidth + j] = r.loss;
+    }
   }
-  std::vector<std::size_t> all(elts.size());
-  for (std::size_t j = 0; j < all.size(); ++j) all[j] = j;
-  const Portfolio portfolio(std::move(elts),
-                            {Layer{"all", all, LayerTerms::identity()}});
-  const TableStore<double> combined = build_tables<double>(portfolio);
   const auto& ps = probes();
   std::size_t i = 0;
   double sink = 0.0;
   for (auto _ : state) {
     const EventId e = ps[i++ & (ps.size() - 1)];
-    const double* row = combined.data() + std::size_t{e} * combined.width;
-    for (std::size_t j = 0; j < 15; ++j) sink += row[j];
+    const double* row = combined.data() + std::size_t{e} * kWidth;
+    for (std::size_t j = 0; j < kWidth; ++j) sink += row[j];
   }
   benchmark::DoNotOptimize(sink);
 }

@@ -22,10 +22,8 @@ namespace {
 // row (0 for a full run, the shard begin for a partial one). Different
 // ranges touch disjoint YLT elements, and within one range every
 // layer's writes are contiguous — workers never share a cache line
-// except at range boundaries. The per-trial work is the dispatched
-// SoA kernel (core/simd/) over the trial's covered occurrences: scalar
-// in the default bitwise-reference mode, vectorized under
-// SimdPolicy::kAuto/kForceWidth.
+// except at range boundaries. The per-trial work is the sweep
+// (core/simd/) over the trial's covered occurrences.
 void sweep_trials(const Yet& yet, const TableStore<double>& tables,
                   const simd::BoundPortfolio<double>& bp,
                   const simd::SweepKernel<double>& kernel,
@@ -59,9 +57,8 @@ SimulationResult FusedSequentialEngine::run(const Portfolio& portfolio,
   // YLT write remains.
   result.ops.global_updates = result.ops.occurrence_ops ? 1 : 0;
 
-  // Kernel selection happens even for cost-only replays: the choice is
-  // a pure function of config + host, it records the active ISA, and a
-  // kForceWidth the host can't satisfy should fail loudly either way.
+  // Kernel selection happens even for cost-only replays: it records
+  // the ISA, and a kForceWidth no kernel satisfies fails either way.
   const simd::SweepKernel<double> kernel =
       simd::select_kernel<double>(config_.simd, config_.simd_width);
   result.simd_isa = simd::isa_name(kernel.isa);

@@ -106,11 +106,12 @@ struct EngineConfig {
   bool use_registers = true;      ///< optimised kernel: register scratch
   bool chunking = true;           ///< optimised kernel: shared-mem chunking
 
-  // Hot-path vectorization (core/simd/, DESIGN.md §8). kScalar is the
-  // bitwise-reference mode — results identical to ReferenceEngine's
-  // four-pass loop — and the default; kAuto dispatches the widest
-  // kernel the build + host support. ExecutionPolicy carries the
-  // authoritative copy; resolved_config() writes it through to here.
+  // Hot-path kernel selection (core/simd/, DESIGN.md §8). There is one
+  // kernel, the scalar sweep, bit-identical to ReferenceEngine's
+  // four-pass loop: kScalar (the default) and kAuto select it, and
+  // kForceWidth, which demands a vector kernel, is refused.
+  // ExecutionPolicy carries the authoritative copy; resolved_config()
+  // writes it through to here.
   simd::SimdPolicy simd = simd::SimdPolicy::kScalar;
   unsigned simd_width = 0;        ///< kForceWidth: required lanes (0 = widest)
 
@@ -141,10 +142,10 @@ struct SimulationResult {
   /// Devices used (1 for single-GPU engines, 0 for CPU engines).
   unsigned devices = 0;
 
-  /// ISA of the dispatched hot-path kernel ("scalar" / "avx2" /
-  /// "neon"); empty for engines that don't run the fused sweep (the
-  /// reference and combined-table formulations). Recorded in the
-  /// bench JSON so perf numbers are attributable to a kernel.
+  /// ISA of the hot-path kernel ("scalar"); empty for engines that
+  /// don't run the fused sweep (the reference and combined-table
+  /// formulations). Recorded in the bench JSON so perf numbers are
+  /// attributable to a kernel.
   std::string simd_isa;
 };
 

@@ -74,9 +74,8 @@ struct ExecutionPolicy {
   /// Hot-path SIMD mode (DESIGN.md §8). Authoritative: resolved_config
   /// copies these over whatever `config` holds, so one policy field
   /// controls every engine kind the policy may resolve to. kScalar
-  /// (the default) is guaranteed bit-identical to ReferenceEngine's
-  /// four-pass loop; kAuto opts into the vector kernels' own
-  /// determinism contract (reproducible run-to-run, last-ulp vs scalar).
+  /// (the default) and kAuto both run the scalar kernel, bit-identical
+  /// to ReferenceEngine's four-pass loop; kForceWidth is refused.
   simd::SimdPolicy simd = simd::SimdPolicy::kScalar;
   unsigned simd_width = 0;  ///< kForceWidth: required lanes (0 = widest)
 

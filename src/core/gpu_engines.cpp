@@ -6,7 +6,6 @@
 
 #include "core/simd/bound_portfolio.hpp"
 #include "core/simd/kernels.hpp"
-#include "core/simd/steps.hpp"
 #include "core/trial_math.hpp"
 #include "parallel/partition.hpp"
 #include "perf/stopwatch.hpp"
@@ -52,9 +51,8 @@ double kernel_seconds(const perf::PhaseBreakdown& phases) {
   return phases.total() - phases[perf::Phase::kTransfer];
 }
 
-// The functional half of a fused launch at precision Real: the
-// dispatched SoA kernel (scalar in the bitwise-reference mode,
-// vectorized under kAuto), the tables and the portfolio bound to them.
+// The functional half of a fused launch at precision Real: the sweep,
+// the tables and the portfolio bound to them.
 template <typename Real>
 struct FusedSweep {
   simd::SweepKernel<Real> kernel;
@@ -72,9 +70,9 @@ const TableStore<Real>* context_tables(const EngineContext& context) {
 }
 
 // Selects the kernel even for cost-only runs (the choice records the
-// active ISA, and a kForceWidth the host cannot satisfy fails either
-// way) and, for a real run, binds the context's tables (built into
-// `local` when the context has none).
+// ISA, and a kForceWidth no kernel satisfies fails either way) and,
+// for a real run, binds the context's tables (built into `local` when
+// the context has none).
 template <typename Real>
 FusedSweep<Real> prepare_sweep(const EngineConfig& cfg,
                                const Portfolio& portfolio,
@@ -98,7 +96,7 @@ FusedSweep<Real> prepare_sweep(const EngineConfig& cfg,
 // once per layer.
 // Thread rows land at (trial - out_base) of `out`. The launch shape
 // and traits never change a result: the simulator charges them, and
-// the functional pass is the dispatched sweep whatever the shape.
+// the functional pass is the same sweep whatever the shape.
 template <typename Real>
 void launch_fused(simgpu::SimDevice& dev, const std::string& kernel_name,
                   const simgpu::LaunchConfig& launch,
@@ -253,7 +251,13 @@ SimulationResult run_streamed_as(std::string name,
   result.engine_name = std::move(name);
   result.devices = 1;
   result.trial_begin = range.begin;
-  result.ops = range_fused_ops(portfolio, yet, range.begin, range.end);
+  // The op counts the batches below are charged: each batch its own
+  // slice's plan, and plan counts are linear in the trials, so they
+  // sum to the plan over the whole range.
+  result.ops = optimized_kernel_plan(
+                   cfg, range.size(),
+                   range_fused_ops(portfolio, yet, range.begin, range.end))
+                   .ops;
 
   perf::Stopwatch wall;
   simgpu::SimDevice dev(device);
@@ -286,14 +290,14 @@ SimulationResult run_streamed_as(std::string name,
     dev.alloc(yet_bytes);
     dev.alloc(ylt_bytes);
     dev.copy(yet_bytes);
-    // The optimised kernel on this batch (tables are resident). Its
-    // launches are charged the bare fused counts: no scratch traffic,
-    // even where the plan attributes some (use_registers off).
-    const OpCounts ops = range_fused_ops(portfolio, yet, begin, end);
-    const KernelPlan plan = optimized_kernel_plan(cfg, end - begin, ops);
+    // The optimised kernel on this batch (tables are resident), charged
+    // its plan: scratch traffic included where the plan attributes some
+    // (use_registers off).
+    const KernelPlan plan = optimized_kernel_plan(
+        cfg, end - begin, range_fused_ops(portfolio, yet, begin, end));
     launch_fused(dev, "ara_streamed_multilayer", plan.launch, plan.traits,
-                 ops, context.cost_only ? nullptr : &sweep, yet, begin, end,
-                 range.begin, result.ylt);
+                 plan.ops, context.cost_only ? nullptr : &sweep, yet, begin,
+                 end, range.begin, result.ylt);
     dev.copy(ylt_bytes);   // results back
     dev.free(yet_bytes);   // release the batch
     dev.free(ylt_bytes);
@@ -420,11 +424,11 @@ SimulationResult GpuCombinedTableEngine::run(
   // Deliberately layer-major: this engine reproduces the paper's
   // *rejected* combined-table formulation, whose per-layer launches
   // and cooperative row loads are the point of comparison. It does not
-  // take the trial-major fusion. Functionally each launch runs one
-  // layer's elt_sum + aggregate_step (core/simd/steps.hpp) over the
-  // binding of the event-major store every engine shares (rows of all
-  // ELT losses per event — the combined table); only the simulated
-  // costs below model the GPU's shared-memory row staging.
+  // take the trial-major fusion. Functionally layer a's launch runs
+  // aggregate_step (core/simd/steps.hpp) over column a of the
+  // layer-event table every engine shares; only the simulated costs
+  // below model the GPU's staging of combined ELT rows through shared
+  // memory.
   const TrialRange range = context.trials.resolve(yet.trial_count());
 
   SimulationResult result;
@@ -494,8 +498,7 @@ SimulationResult GpuCombinedTableEngine::run(
                            traits, launch_ops);
       continue;
     }
-    const simd::EltSlots<double> slots = simd::layer_slots(bp, a);
-    const simd::XlTerms<double> terms = simd::xl_terms(bp, a);
+    const simd::XlTerms<double> terms = bp.terms[a];
     dev.launch(
         "ara_combined_layer" + std::to_string(a), launch, traits,
         launch_ops, [&](const simgpu::SimDevice::ThreadCtx& ctx) {
@@ -506,9 +509,8 @@ SimulationResult GpuCombinedTableEngine::run(
           double prev_capped = 0.0, annual = 0.0;
           for (const EventOccurrence& occ :
                covered_occurrences(*tables, yet.trial(t), scratch)) {
-            simd::aggregate_step(
-                terms, simd::elt_sum(slots, simd::row_of(bp, occ.event)),
-                max_occ, cumulative, prev_capped, annual);
+            simd::aggregate_step(terms, bp.row(occ.event)[a], max_occ,
+                                 cumulative, prev_capped, annual);
           }
           result.ylt.annual_loss(a, row) = annual;
           result.ylt.max_occurrence_loss(a, row) = max_occ;

@@ -127,9 +127,11 @@ class MultiGpuEngine final : public Engine {
 /// collectively load from the combined ELT each thread must first
 /// write which event it needs", adding shared-memory traffic and a
 /// block synchronisation per row. This engine reproduces that variant
-/// (functionally it reads the shared event-major TableStore, which is
-/// that combined table, so results are identical; the cost model
-/// charges the extra coordination traffic).
+/// in simulated cost only: the cost model charges the extra
+/// coordination traffic, while functionally layer a's launch reads
+/// column a of the shared layer-event TableStore, whose cell already
+/// holds the sum over the layer's combined row, so results are
+/// identical.
 class GpuCombinedTableEngine final : public Engine {
  public:
   GpuCombinedTableEngine(simgpu::DeviceSpec device, EngineConfig config)

@@ -14,12 +14,13 @@
 // implements the paper's future-work item ("compressed representations
 // of data in memory").
 //
-// The engines no longer read DirectAccessTable: they read the
-// portfolio's event-major TableStore (core/trial_math.hpp), the
-// paper's "combined" table, whose row e holds event e's loss under
-// every distinct ELT. The per-ELT table stays for the reference
-// engine (the oracle builds its own, independent of the store) and
-// the lookup-structure ablation.
+// The sweeping engines do not read DirectAccessTable: they read the
+// portfolio's layer-event TableStore (core/trial_math.hpp), whose cell
+// (e, a) already sums layer a's ELT losses for event e. The per-ELT
+// table stays for the reference engine (the oracle builds its own,
+// independent of the store), for secondary uncertainty (its damage
+// draws perturb each ELT's own ground-up loss) and for the
+// lookup-structure ablation.
 //
 // All structures are immutable after construction and safe for
 // concurrent reads.
@@ -33,7 +34,6 @@
 #include <vector>
 
 #include "core/elt.hpp"
-#include "core/simd/aligned.hpp"
 #include "core/types.hpp"
 
 namespace ara {
@@ -60,7 +60,6 @@ class LossLookup {
 
 /// Dense array over the full event catalogue; slot e holds the loss of
 /// event e (0 when absent). One random memory access per lookup.
-/// Storage is 64-byte aligned (simd::AlignedVector).
 template <typename Real>
 class DirectAccessTable final : public LossLookup {
  public:
@@ -88,13 +87,13 @@ class DirectAccessTable final : public LossLookup {
 
   std::size_t slots() const noexcept { return losses_.size(); }
 
-  /// The dense slot array, 64-byte aligned, indexable by event id.
+  /// The dense slot array, indexable by event id.
   std::span<const Real> data() const noexcept {
     return {losses_.data(), losses_.size()};
   }
 
  private:
-  simd::AlignedVector<Real> losses_;
+  std::vector<Real> losses_;
 };
 
 /// Sorted compact table; binary-search lookup (O(log n) accesses).

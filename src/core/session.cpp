@@ -163,37 +163,44 @@ std::size_t AnalysisSession::pending_requests() {
 std::vector<EnginePrediction> AnalysisSession::predict(
     const Portfolio& portfolio, const Yet& yet,
     const ExecutionPolicy& policy) const {
-  // Each kind's own engine prices it: a cost-only run charges the
+  std::vector<EnginePrediction> out;
+  for (const EngineKind kind : all_engine_kinds()) {
+    out.push_back(predict_kind(portfolio, yet, policy, kind));
+  }
+  return out;
+}
+
+EnginePrediction AnalysisSession::predict_kind(const Portfolio& portfolio,
+                                               const Yet& yet,
+                                               const ExecutionPolicy& policy,
+                                               EngineKind kind) const {
+  // The kind's own engine prices it: a cost-only run charges the
   // simulated timeline without executing the sweep, exactly as the
   // real run will (the replay the shard merge already relies on), so a
   // prediction is the charged time by construction. A kind is
   // infeasible only when its simulated device refuses the work; every
   // other failure propagates.
+  EnginePrediction p;
+  p.kind = kind;
+  p.feasible = false;
+  if (kind == EngineKind::kMultiGpu && policy.gpu_count == 0) {
+    p.note = "gpu_count is zero";  // no device to run on
+    return p;
+  }
+  ExecutionPolicy concrete = policy;
+  concrete.engine = kind;
   EngineContext cost_only;
   cost_only.cost_only = true;
-  std::vector<EnginePrediction> out;
-  for (const EngineKind kind : all_engine_kinds()) {
-    ExecutionPolicy concrete = policy;
-    concrete.engine = kind;
-    const std::unique_ptr<Engine> engine = make_engine(concrete);
-    EnginePrediction p;
-    p.kind = kind;
-    p.feasible = false;
-    if (kind == EngineKind::kMultiGpu && policy.gpu_count == 0) {
-      p.note = "gpu_count is zero";  // no device to run on
-    } else {
-      try {
-        p.seconds = engine->run(portfolio, yet, cost_only).simulated_seconds;
-        p.feasible = true;
-      } catch (const DeviceMemoryExhausted&) {
-        p.note = "inputs exceed device memory";
-      } catch (const InfeasibleLaunch& e) {
-        p.note = e.limiter();
-      }
-    }
-    out.push_back(std::move(p));
+  try {
+    p.seconds =
+        make_engine(concrete)->run(portfolio, yet, cost_only).simulated_seconds;
+    p.feasible = true;
+  } catch (const DeviceMemoryExhausted&) {
+    p.note = "inputs exceed device memory";
+  } catch (const InfeasibleLaunch& e) {
+    p.note = e.limiter();
   }
-  return out;
+  return p;
 }
 
 EnginePrediction AnalysisSession::choose(const Portfolio& portfolio,

@@ -12,8 +12,8 @@
 //   * a cache of constructed engines, keyed by kind + configuration +
 //     devices (every DeviceSpec field),
 //   * a cache of built TableStores, keyed by portfolio identity +
-//     precision, so a batch of requests against one portfolio binds
-//     the direct-access tables exactly once (DESIGN.md §4),
+//     precision, so a batch of requests against one portfolio builds
+//     its layer-event table exactly once (DESIGN.md §4),
 //   * a persistent compute thread pool handed to engines through
 //     EngineContext (distinct from the run_batch dispatch pool — an
 //     engine running *on* the dispatch pool must not barrier on it),
@@ -191,6 +191,14 @@ class AnalysisSession {
     return predict(portfolio, yet, default_policy_);
   }
 
+  /// The prediction of one engine kind under `policy` (its `engine`
+  /// field is ignored): the kind's engine, run with
+  /// EngineContext::cost_only. predict() is this, once per kind; a
+  /// caller pricing each kind under its own policy calls it directly.
+  EnginePrediction predict_kind(const Portfolio& portfolio, const Yet& yet,
+                                const ExecutionPolicy& policy,
+                                EngineKind kind) const;
+
   /// The prediction kAuto resolves to: the cheapest feasible one.
   /// Throws std::runtime_error if no kind is feasible (cannot happen
   /// with the CPU kinds present).
@@ -217,7 +225,7 @@ class AnalysisSession {
   /// dropped (the next request rebuilds). The cache has no automatic
   /// eviction — a long-lived session streaming many short-lived
   /// portfolios must invalidate each as it retires it, or the dense
-  /// tables (O(catalogue) per distinct ELT) accumulate.
+  /// layer-event tables (O(catalogue x layers) each) accumulate.
   void invalidate_tables(const Portfolio& portfolio);
 
   /// Number of portfolios with cached tables (diagnostics/tests).

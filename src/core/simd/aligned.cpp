@@ -1,6 +1,7 @@
 #include "core/simd/aligned.hpp"
 
 #include <cstring>
+#include <new>
 
 #if defined(__linux__)
 #include <sys/mman.h>

@@ -1,7 +1,7 @@
 // The SIMD execution knob threaded from ExecutionPolicy down to the
-// kernel dispatch (see DESIGN.md §8 for the two determinism
-// contracts). Kept separate from kernels.hpp so engine.hpp and the
-// CLI tools can carry the enum without pulling the kernel machinery.
+// kernel selection (DESIGN.md §8: one kernel, one determinism
+// contract). Kept separate from kernels.hpp so engine.hpp and the CLI
+// tools can carry the enum without pulling the kernel machinery.
 #pragma once
 
 #include <cstdint>
@@ -12,16 +12,14 @@ namespace ara::simd {
 
 /// How the fused hot path executes the per-event operand sequence.
 enum class SimdPolicy : std::uint8_t {
-  /// Widest kernel the build and the host support; scalar when none.
-  /// Deterministic run-to-run (fixed lane order), but ELT sums are
-  /// reassociated, so results may differ from kScalar in the last ulp.
+  /// The widest kernel available: the scalar kernel, so bitwise
+  /// kScalar.
   kAuto,
-  /// The reference sequence: bit-identical to ReferenceEngine.
-  /// This is the default — vectorization is always opt-in.
+  /// The reference sequence: bit-identical to ReferenceEngine. The
+  /// default.
   kScalar,
-  /// Require a vector kernel; `simd_width` (when non-zero) pins the
-  /// lane count. Selection throws if the build or host cannot satisfy
-  /// it — for pinning benchmark/CI runs to a known ISA.
+  /// Require a vector kernel (`simd_width`, when non-zero, names the
+  /// lane count). Selection throws: no vector kernel exists.
   kForceWidth,
 };
 

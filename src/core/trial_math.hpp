@@ -1,15 +1,14 @@
-// The portfolio's loss tables, shared by every engine but the
-// reference oracle.
+// The portfolio's loss table, shared by every engine but the reference
+// oracle.
 //
-// `build_tables` lays each distinct referenced ELT out as one column of
-// an event-major table and marks every event some column records;
-// `select_tables` borrows a prebuilt store (the session's cache) or
-// builds one, and `covered_occurrences` cuts a trial down to the
-// occurrences the store covers before it is swept. The per-(event,
-// layer) operand sequence that turns these tables into trial outcomes
-// lives in core/simd/steps.hpp, and `simd::bind_portfolio` plus the
-// dispatched `SweepKernel::sweep` (core/simd/) are the one way to drive
-// it.
+// `build_tables` sums each layer's ELTs once per catalogue event into
+// an event-major layer-event table and marks every event some ELT
+// records; `select_tables` borrows a prebuilt store (the session's
+// cache) or builds one, and `covered_occurrences` cuts a trial down to
+// the occurrences the store covers before it is swept. The trial half
+// of the per-(event, layer) operand sequence lives in
+// core/simd/steps.hpp, and `simd::bind_portfolio` plus
+// `SweepKernel::sweep` (core/simd/) are the one way to drive it.
 //
 // Templated on the loss precision: the optimised GPU engines
 // instantiate float (the paper's "reducing the precision of
@@ -21,78 +20,69 @@
 #include <span>
 #include <vector>
 
+#include "core/financial_terms.hpp"
 #include "core/layer.hpp"
 #include "core/simd/aligned.hpp"
 #include "core/types.hpp"
 
 namespace ara {
 
-/// The portfolio's loss table in precision `Real`, event-major: row e
-/// holds event e's loss under every distinct referenced ELT, side by
-/// side in first-reference order, so one occurrence reads one row (2-3
-/// adjacent cache lines on one page) instead of one line of a separate
-/// dense table per ELT (DESIGN.md §4). Layers may share ELTs, so the
-/// row width is the number of *distinct* ELTs and `per_layer[a][j]` is
-/// the column of layer a's j-th ELT: a book of 30 layers over a shared
-/// 40-ELT pool has 40 columns, not up to 900. Rows are not padded. The
-/// store owns its rows (simd::TableArray), so it is move-only and a
-/// move keeps every view of them valid — it is cheap to move into a
-/// session-level cache.
+/// The portfolio's layer-event table in precision `Real`, event-major:
+/// cell (e, a) = rows[e * width + a] is layer a's loss for event e
+/// before occurrence terms — the sum, over the layer's ELTs in slot
+/// order, of each ELT's loss for e under its financial terms
+/// (Algorithm 1, lines 5-13). One occurrence reads one value per layer
+/// from one row (DESIGN.md §4). The table takes (catalogue + 1) x
+/// layers x sizeof(Real) bytes, whatever the ELTs; it is larger than a
+/// per-ELT table only for a book with more layers than distinct ELTs.
+/// Rows are not padded. The store owns its rows (simd::TableArray), so
+/// it is move-only and a move keeps every view of them valid — it is
+/// cheap to move into a session-level cache.
 ///
-/// `covered` has bit e set when some column records event e (a record
-/// of loss 0 included). A row whose bit is clear holds +0.0 in every
-/// slot, so its occurrences change no result (DESIGN.md §4) and the
-/// sweeps skip them. `bytes()` counts the rows only.
+/// `covered` has bit e set when some ELT of the portfolio records
+/// event e (a record of loss 0 included). A row whose bit is clear
+/// holds +0.0 in every cell, so its occurrences change no result
+/// (DESIGN.md §4) and the sweeps skip them. `bytes()` counts the rows
+/// only.
 template <typename Real>
 struct TableStore {
-  simd::TableArray<Real> rows;  ///< events x width slots, row-major
-  std::size_t width = 0;        ///< distinct ELTs = columns = row stride
+  simd::TableArray<Real> rows;  ///< events x width cells, row-major
+  std::size_t width = 0;        ///< layers = columns = row stride
   std::size_t events = 0;       ///< rows: catalogue size + 1
-  std::vector<std::vector<std::size_t>> per_layer;  ///< column indices
   std::vector<std::uint64_t> covered;  ///< (events + 63) / 64 words
 
   std::size_t slots() const noexcept { return width * events; }
   std::size_t bytes() const noexcept { return slots() * sizeof(Real); }
   const Real* data() const noexcept { return rows.get(); }
-  /// True when some column records event `e`.
+  /// True when some ELT records event `e`.
   bool covers(EventId e) const noexcept {
     return ((covered[e / 64] >> (e % 64)) & 1u) != 0;
   }
 };
 
+/// Built sparsely from the records: each layer adds each of its ELT
+/// slots' terms-applied losses, slot by slot, into the cells of the
+/// events that slot records. This is bitwise the dense slot-order sum
+/// over every ELT (DESIGN.md §4): an unrecorded event costs exactly
+/// +0.0 under valid terms (retention >= 0, finite fx_rate, finite
+/// non-negative losses), a sum that starts at +0.0 never turns -0.0,
+/// and an ELT records an event at most once.
 template <typename Real>
 TableStore<Real> build_tables(const Portfolio& portfolio) {
-  constexpr std::size_t kUnreferenced = static_cast<std::size_t>(-1);
   TableStore<Real> store;
-
-  // Each distinct referenced ELT gets a column, in first-reference
-  // order.
-  std::vector<std::size_t> column(portfolio.elt_count(), kUnreferenced);
-  std::vector<std::size_t> column_elt;
-  store.per_layer.reserve(portfolio.layer_count());
-  for (const Layer& layer : portfolio.layers()) {
-    std::vector<std::size_t> columns;
-    columns.reserve(layer.elt_indices.size());
-    for (const std::size_t idx : layer.elt_indices) {
-      if (column[idx] == kUnreferenced) {
-        column[idx] = column_elt.size();
-        column_elt.push_back(idx);
-      }
-      columns.push_back(column[idx]);
-    }
-    store.per_layer.push_back(std::move(columns));
-  }
-
-  store.width = column_elt.size();
+  store.width = portfolio.layer_count();
   store.events = static_cast<std::size_t>(portfolio.catalogue_size()) + 1;
   store.rows = simd::make_table_array<Real>(store.slots());
   store.covered.assign((store.events + 63) / 64, 0);
   Real* rows = store.rows.get();
-  for (std::size_t c = 0; c < store.width; ++c) {
-    for (const EventLoss& r : portfolio.elts()[column_elt[c]].records()) {
-      rows[static_cast<std::size_t>(r.event) * store.width + c] =
-          static_cast<Real>(r.loss);
-      store.covered[r.event / 64] |= std::uint64_t{1} << (r.event % 64);
+  for (std::size_t a = 0; a < store.width; ++a) {
+    for (const std::size_t idx : portfolio.layers()[a].elt_indices) {
+      const Elt& elt = portfolio.elts()[idx];
+      for (const EventLoss& r : elt.records()) {
+        rows[static_cast<std::size_t>(r.event) * store.width + a] +=
+            apply_financial_terms(static_cast<Real>(r.loss), elt.terms());
+        store.covered[r.event / 64] |= std::uint64_t{1} << (r.event % 64);
+      }
     }
   }
   return store;

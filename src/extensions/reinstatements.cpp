@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "core/simd/bound_portfolio.hpp"
-#include "core/simd/steps.hpp"
 #include "core/trial_math.hpp"
 
 namespace ara::ext {
@@ -108,22 +107,21 @@ ReinstatementResult ReinstatementEngine::run(
   const simd::BoundPortfolio<double> bp =
       simd::bind_portfolio(portfolio_, tables);
 
-  // Each covered occurrence's loss before occurrence terms: the
-  // reinstatement walk applies its own occurrence limit and capacity.
-  // An uncovered occurrence's loss is 0, a recovery <= 0 the walk
-  // skips, so leaving it out changes no outcome.
+  // Each covered occurrence's loss before occurrence terms, column a of
+  // the layer-event table: the reinstatement walk applies its own
+  // occurrence limit and capacity. An uncovered occurrence's loss is 0,
+  // a recovery <= 0 the walk skips, so leaving it out changes no
+  // outcome.
   std::vector<EventOccurrence> scratch;
   std::vector<double> occ_losses;
   for (std::size_t a = 0; a < portfolio_.layer_count(); ++a) {
-    const simd::EltSlots<double> slots = simd::layer_slots(bp, a);
     for (std::size_t b = range.begin; b < range.end; ++b) {
       const auto trial = covered_occurrences(
           tables, yet.trial(static_cast<TrialId>(b)), scratch);
       occ_losses.clear();
       occ_losses.reserve(trial.size());
       for (const EventOccurrence& occ : trial) {
-        occ_losses.push_back(
-            simd::elt_sum(slots, simd::row_of(bp, occ.event)));
+        occ_losses.push_back(bp.row(occ.event)[a]);
       }
       result.at(a, static_cast<TrialId>(b - range.begin)) =
           evaluate_reinstatement_trial(occ_losses, terms_[a]);

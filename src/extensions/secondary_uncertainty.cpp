@@ -1,9 +1,11 @@
 #include "extensions/secondary_uncertainty.hpp"
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "core/simd/bound_portfolio.hpp"
+#include "core/financial_terms.hpp"
+#include "core/lookup_table.hpp"
 #include "core/simd/steps.hpp"
 #include "core/trial_math.hpp"
 #include "perf/cpu_cost_model.hpp"
@@ -39,19 +41,30 @@ SimulationResult SecondaryUncertaintyEngine::run(
   // Layer-major on purpose: each (layer, trial) owns a deterministic
   // RNG sub-stream whose draws are consumed in per-layer order, so the
   // trial-major fusion would reorder nothing but is not needed either.
+  // The damage draws perturb each ELT's own ground-up loss, which the
+  // layer-event table has already summed away, so this engine reads
+  // per-ELT tables, built per run; the store serves only its coverage.
   TableStore<double> local;
   const TableStore<double>& tables =
       *select_tables(context.tables_f64, local, portfolio);
-  const simd::BoundPortfolio<double> bp =
-      simd::bind_portfolio(portfolio, tables);
+  std::vector<std::unique_ptr<DirectAccessTable<double>>> ground(
+      portfolio.elt_count());
+  for (const Layer& layer : portfolio.layers()) {
+    for (const std::size_t idx : layer.elt_indices) {
+      if (!ground[idx]) {
+        ground[idx] =
+            std::make_unique<DirectAccessTable<double>>(portfolio.elts()[idx]);
+      }
+    }
+  }
   result.ylt = Ylt(portfolio.layer_count(), range.size());
   std::vector<EventOccurrence> scratch;
 
   const double mean_beta = config_.alpha / (config_.alpha + config_.beta);
 
   for (std::size_t a = 0; a < portfolio.layer_count(); ++a) {
-    const simd::EltSlots<double> slots = simd::layer_slots(bp, a);
-    const simd::XlTerms<double> terms = simd::xl_terms(bp, a);
+    const Layer& layer = portfolio.layers()[a];
+    const simd::XlTerms<double> terms = simd::xl_terms<double>(layer.terms);
     for (std::size_t b = range.begin; b < range.end; ++b) {
       // One deterministic sub-stream per (layer, trial): draws are
       // keyed by the *global* trial index, so results do not depend on
@@ -68,16 +81,16 @@ SimulationResult SecondaryUncertaintyEngine::run(
       double max_occ = 0.0, cumulative = 0.0;
       double prev_capped = 0.0, annual = 0.0;
       for (const EventOccurrence& occ : trial) {
-        const std::size_t row = simd::row_of(bp, occ.event);
         // One damage draw per non-zero (occurrence, ELT) loss, in slot
-        // order; a zero loss draws nothing and contributes exactly +0.0
-        // to the sum.
-        const double combined =
-            simd::elt_sum(slots, [&](std::uint32_t j) {
-              const double ground = slots.table_base[j][row];
-              return ground == 0.0 ? 0.0
-                                   : ground * (damage.sample(rng) / mean_beta);
-            });
+        // order, each under its ELT's terms and summed in slot order; a
+        // zero loss draws nothing and contributes exactly +0.0.
+        double combined = 0.0;
+        for (const std::size_t idx : layer.elt_indices) {
+          const double loss = ground[idx]->at(occ.event);
+          combined += apply_financial_terms(
+              loss == 0.0 ? 0.0 : loss * (damage.sample(rng) / mean_beta),
+              portfolio.elts()[idx].terms());
+        }
         simd::aggregate_step(terms, combined, max_occ, cumulative,
                              prev_capped, annual);
       }

@@ -85,6 +85,36 @@ TEST(StreamedGpuEngine, ChargesMoreTransferThanInCore) {
             b.simulated_phases[perf::Phase::kTransfer] - 1e-12);
 }
 
+// With use_registers off the optimised kernel keeps Algorithm 1's
+// scratch in shared memory (chunking on) or global memory (chunking
+// off). Streamed through a single batch, the kernel must be charged
+// that traffic exactly as the in-core engine charges the same launch,
+// and report the plan's op counts.
+TEST(StreamedGpuEngine, ChargesTheInCoreLaunchsScratchTraffic) {
+  const synth::Scenario s = synth::paper_scaled(20000, 33);
+  for (const bool chunking : {true, false}) {
+    EngineConfig cfg = paper_config(EngineKind::kGpuOptimized);
+    cfg.use_registers = false;
+    cfg.chunking = chunking;
+    const std::string what = chunking ? "chunked" : "unchunked";
+    StreamedGpuEngine streamed(simgpu::tesla_m2090(), cfg);
+    ASSERT_EQ(streamed.batch_count(s.portfolio, s.yet), 1u) << what;
+    GpuOptimizedEngine incore(simgpu::tesla_m2090(), cfg);
+    const SimulationResult a = streamed.run(s.portfolio, s.yet);
+    const SimulationResult b = incore.run(s.portfolio, s.yet);
+    ASSERT_GT(b.simulated_phases[perf::Phase::kOther], 0.0) << what;
+    EXPECT_EQ(a.simulated_phases[perf::Phase::kOther],
+              b.simulated_phases[perf::Phase::kOther])
+        << what;
+    EXPECT_EQ(a.ops,
+              optimized_kernel_plan(cfg, s.yet.trial_count(),
+                                    count_fused_algorithm_ops(s.portfolio,
+                                                              s.yet))
+                  .ops)
+        << what;
+  }
+}
+
 TEST(HeterogeneousMultiGpu, WeightsFollowThroughput) {
   EngineConfig cfg = paper_config(EngineKind::kMultiGpu);
   HeterogeneousMultiGpuEngine engine(

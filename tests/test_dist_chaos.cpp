@@ -65,10 +65,13 @@ DistConfig chaos_config(const serve::SynthSpec& spec, const std::string& tag,
   return config;
 }
 
+/// Forks an ara_worker. A `held` worker stops itself before it execs
+/// (the call returns once it has stopped) and starts only on SIGCONT.
 pid_t spawn_worker(const serve::Endpoint& endpoint, const std::string& id,
-                   const char* failpoints) {
+                   const char* failpoints, bool held = false) {
   const pid_t pid = ::fork();
   if (pid == 0) {
+    if (held) ::raise(SIGSTOP);
     const std::string ep = endpoint.describe();
     // --max-attempts 4 bounds the tail of tests where a worker ends up
     // retrying against a coordinator that already finished without it.
@@ -83,13 +86,21 @@ pid_t spawn_worker(const serve::Endpoint& endpoint, const std::string& id,
     }
     ::_exit(127);
   }
+  if (held) {
+    int status = 0;
+    ::waitpid(pid, &status, WUNTRACED);
+  }
   return pid;
+}
+
+int exit_code(int status) {
+  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
 }
 
 int reap(pid_t pid) {
   int status = 0;
   ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+  return exit_code(status);
 }
 
 SimulationResult monolithic(const serve::SynthSpec& spec) {
@@ -116,30 +127,74 @@ AnalysisRequest metrics_request() {
 /// Spawns two workers with the given failpoint spec, runs the
 /// coordinator to completion, and reaps both workers.
 DistResult run_with_failpoints(const DistConfig& config,
-                               const char* failpoints,
-                               std::vector<int>* exit_codes = nullptr) {
+                               const char* failpoints) {
   ShardCoordinator coordinator(config);
   const pid_t w1 = spawn_worker(coordinator.endpoint(), "chaos_1",
                                 failpoints);
   const pid_t w2 = spawn_worker(coordinator.endpoint(), "chaos_2",
                                 failpoints);
   const DistResult result = coordinator.run(metrics_request());
-  const int e1 = reap(w1);
-  const int e2 = reap(w2);
-  if (exit_codes != nullptr) *exit_codes = {e1, e2};
+  reap(w1);
+  reap(w2);
   return result;
 }
 
 TEST(DistChaos, CrashMidShardFallsBackAndStaysBitwise) {
   if (!fail::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
-  // Both workers die silently right after computing their first shard
-  // — the worst moment: the work is done, the coordinator never hears
-  // about it. Every range must end up executed by the local fallback.
+  // Both workers die silently after computing their first shard — the
+  // worst moment: the work is done, the coordinator never hears about
+  // it. Every range must end up executed by the local fallback.
+  //
+  // Both must have joined before the fleet is gone, or the fallback
+  // finishes every range and the late worker is told done. So the first
+  // crash is held on the coordinator's live counters, not a clock: each
+  // worker pauses 300 ms between its shard and its crash, the second
+  // worker starts stopped, and once the first holds a lease it is
+  // stopped in turn, the second released, and the first resumed only
+  // when both have joined.
   const serve::SynthSpec spec = chaos_spec(600);
   const DistConfig config = chaos_config(spec, "crash", 100, 800);
-  std::vector<int> exits;
-  const DistResult result = run_with_failpoints(
-      config, "worker.crash_mid_shard=1", &exits);
+  const char* failpoints =
+      "worker.stall=1:1:300:1;worker.crash_mid_shard=1";
+  ShardCoordinator coordinator(config);
+  const pid_t first =
+      spawn_worker(coordinator.endpoint(), "chaos_1", failpoints);
+  const pid_t second = spawn_worker(coordinator.endpoint(), "chaos_2",
+                                    failpoints, /*held=*/true);
+  int first_exit = -1;  // set when the hold finds the first worker gone
+  std::string hold_error;
+  std::thread holder([&] {
+    using Clock = std::chrono::steady_clock;
+    const auto deadline = Clock::now() + std::chrono::seconds(60);
+    const auto await = [&](auto reached) {
+      while (!reached()) {
+        if (Clock::now() >= deadline) return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return true;
+    };
+    if (!await([&] { return coordinator.counters().leases_granted >= 1; })) {
+      hold_error = "the first worker never took a lease within 60 s";
+    } else {
+      ::kill(first, SIGSTOP);
+      int status = 0;
+      ::waitpid(first, &status, WUNTRACED);
+      if (!WIFSTOPPED(status)) {
+        first_exit = exit_code(status);
+        hold_error = "the first worker crashed before it could be held";
+      }
+    }
+    ::kill(second, SIGCONT);
+    if (!await([&] { return coordinator.counters().workers_joined >= 2; })) {
+      hold_error = "the second worker never joined within 60 s";
+    }
+    if (first_exit < 0) ::kill(first, SIGCONT);
+  });
+  const DistResult result = coordinator.run(metrics_request());
+  holder.join();
+  if (!hold_error.empty()) ADD_FAILURE() << hold_error;
+  const std::vector<int> exits = {first_exit < 0 ? reap(first) : first_exit,
+                                  reap(second)};
 
   EXPECT_EQ(exits[0], 137);
   EXPECT_EQ(exits[1], 137);

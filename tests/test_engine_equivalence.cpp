@@ -207,11 +207,11 @@ TEST(TrialMajorFusion, FusedEnginesChargeSingleYetPass) {
   }
 }
 
-// The oracle must not share the engines' table layout: a store with
-// one wrong cell, passed through the context, changes what the fused
+// The oracle must not share the engines' table: a store with one
+// wrong cell, passed through the context, changes what the fused
 // engine computes but not what the reference computes — otherwise a
-// wrong column map in build_tables would be repeated by the oracle
-// every equivalence wall compares against.
+// wrong sum in build_tables would be repeated by the oracle every
+// equivalence wall compares against.
 TEST(OracleIndependence, ReferenceIgnoresTheSharedStore) {
   std::vector<Elt> elts;
   elts.emplace_back(std::vector<EventLoss>{{1, 10.0}, {3, 30.0}},
@@ -223,8 +223,7 @@ TEST(OracleIndependence, ReferenceIgnoresTheSharedStore) {
   const Yet yet({{{3, 1}, {5, 2}}, {{1, 1}}}, 5);
 
   TableStore<double> store = build_tables<double>(portfolio);
-  const std::size_t column = store.per_layer[0][0];  // ELT 1
-  store.rows[3 * store.width + column] += 1000.0;    // event 3, hit in trial 0
+  store.rows[3 * store.width + 0] += 1000.0;  // layer 0, event 3 (trial 0)
   EngineContext context;
   context.tables_f64 = &store;
 
@@ -341,8 +340,8 @@ void expect_same_bits(const Ylt& got, const Ylt& want,
   }
 }
 
-// Every compiled kernel (scalar, and the widest vector ISA kAuto
-// finds), on the full trial and on covered_occurrences' span.
+// The kernel each policy selects, on the full trial and on
+// covered_occurrences' span.
 template <typename Real>
 void expect_kernels_ignore_uncovered(std::size_t layers) {
   const Portfolio portfolio = coverage_portfolio(layers);

@@ -1,13 +1,10 @@
-// The SIMD dispatch wall (DESIGN.md §8): the scalar kernel is the
-// bitwise-reference mode — under SimdPolicy::kScalar every engine must
-// reproduce the independent four-pass oracle bit for bit, in both
-// precisions, monolithic and sharded. Vector kernels carry a weaker
-// contract: run-to-run deterministic (fixed lane order) and within
-// last-ulp-scale tolerance of scalar (ELT sums are reassociated).
-// Dispatch itself must fall back to scalar when capped, honour
-// kForceWidth exactly, and reject widths the build cannot provide.
-// Remainder lanes (layer/ELT counts that do not divide the vector
-// width) are swept exhaustively against the oracle.
+// The sweep wall (DESIGN.md §8): the scalar kernel over the
+// layer-event table is the one kernel — under every SimdPolicy every
+// engine must reproduce the independent four-pass oracle bit for bit,
+// in both precisions, monolithic and sharded. kAuto selects the scalar
+// kernel; kForceWidth, which demands a vector kernel, is refused. Small
+// layer/ELT shapes and the row-prefetch window's edges are swept
+// exhaustively against the oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +16,6 @@
 #include "core/reference_engine.hpp"
 #include "core/session.hpp"
 #include "core/simd/bound_portfolio.hpp"
-#include "core/simd/capability.hpp"
 #include "core/simd/kernels.hpp"
 #include "core/trial_math.hpp"
 #include "four_pass_reference.hpp"
@@ -57,9 +53,7 @@ void expect_bitwise(const Ylt& got, const Ylt& expect, const std::string& what) 
   }
 }
 
-// Vector kernels reassociate the per-event ELT sum; everything
-// downstream (clamps, prefix sums) is order-preserving, so scalar and
-// vector agree to accumulated rounding — a relative band with an
+// Agreement to accumulated rounding — a relative band with an
 // absolute floor for losses clamped to zero.
 void expect_close(const Ylt& got, const Ylt& expect, double rel,
                   const std::string& what) {
@@ -138,12 +132,10 @@ TEST(ScalarBitwise, DefaultPolicyIsScalar) {
   EXPECT_EQ(EngineConfig{}.simd, simd::SimdPolicy::kScalar);
 }
 
-// --- vector kernels: deterministic, and close to scalar -----------
+// --- kAuto: deterministic, and the scalar kernel -------------------
 
-// Whatever kAuto dispatches to (vector on a capable host, scalar on a
-// -DARA_DISABLE_SIMD build), two runs of the same workload are bitwise
-// equal, and the sharded run is bitwise equal to the monolithic one —
-// lane order is fixed, so reassociation is reproducible.
+// Two kAuto runs of the same workload are bitwise equal, and the
+// sharded run is bitwise equal to the monolithic one.
 TEST(SimdDeterminism, AutoRunToRunAndShardedBitwiseEqual) {
   const synth::Scenario s = synth::multi_layer_book(6, 60, 9);
   AnalysisSession session;
@@ -176,10 +168,28 @@ TEST(SimdDeterminism, AutoWithinToleranceOfScalar) {
   }
 }
 
-// A zero-share ELT under an unlimited cover adds exactly nothing, in
-// every ISA: its folded vector terms are all zero, not the NaN that
-// limit * share = inf * 0 would put in the clamp. The second layer
-// reads only the zero-share ELT, so the multi-layer apply sees it too.
+// kAuto runs the scalar kernel, so its YLT is kScalar's, bit for bit,
+// on every engine kind and in both precisions.
+TEST(SimdDeterminism, AutoIsScalarBitwise) {
+  const synth::Scenario s = synth::multi_layer_book(6, 60, 9);
+  AnalysisSession session;
+  for (const EngineKind kind : all_engine_kinds()) {
+    for (const bool use_float : {false, true}) {
+      const std::string what =
+          engine_kind_name(kind) + (use_float ? "/f32" : "/f64");
+      expect_bitwise(run_with(session, s.portfolio, s.yet, kind,
+                              simd::SimdPolicy::kAuto, use_float, 0),
+                     run_with(session, s.portfolio, s.yet, kind,
+                              simd::SimdPolicy::kScalar, use_float, 0),
+                     what);
+    }
+  }
+}
+
+// A zero-share ELT under an unlimited cover adds exactly nothing: its
+// cell is +0.0, not the NaN that limit * share = inf * 0 would give a
+// folded clamp. The second layer reads only the zero-share ELT, so the
+// multi-layer loop sees it too.
 TEST(SimdDeterminism, ZeroShareUnlimitedEltAddsNothing) {
   FinancialTerms no_share;  // limit stays +inf
   no_share.share = 0.0;
@@ -217,19 +227,24 @@ TEST(SimdDeterminism, ZeroShareUnlimitedEltAddsNothing) {
 TEST(SimdDispatch, ScalarPolicyAlwaysSelectsScalar) {
   const auto k = simd::select_kernel<double>(simd::SimdPolicy::kScalar);
   EXPECT_EQ(k.isa, simd::IsaLevel::kScalar);
-  EXPECT_EQ(k.lanes, 1u);
+  EXPECT_STREQ(simd::isa_name(k.isa), "scalar");
 }
 
-TEST(SimdDispatch, AutoFallsBackToScalarUnderCap) {
-  const auto k = simd::select_kernel_capped<double>(
-      simd::SimdPolicy::kAuto, 0, simd::IsaLevel::kScalar);
-  EXPECT_EQ(k.isa, simd::IsaLevel::kScalar);
-  EXPECT_EQ(k.lanes, 1u);
+TEST(SimdDispatch, AutoSelectsTheScalarKernel) {
+  const auto scalar = simd::select_kernel<double>(simd::SimdPolicy::kScalar);
+  const auto d = simd::select_kernel<double>(simd::SimdPolicy::kAuto);
+  EXPECT_EQ(d.isa, simd::IsaLevel::kScalar);
+  EXPECT_EQ(d.sweep, scalar.sweep);
+  const auto f = simd::select_kernel<float>(simd::SimdPolicy::kAuto);
+  EXPECT_EQ(f.isa, simd::IsaLevel::kScalar);
+  EXPECT_EQ(f.sweep,
+            simd::select_kernel<float>(simd::SimdPolicy::kScalar).sweep);
 }
 
 TEST(SimdDispatch, ForceWidthThrowsWhenOnlyScalarAvailable) {
-  EXPECT_THROW(simd::select_kernel_capped<double>(
-                   simd::SimdPolicy::kForceWidth, 0, simd::IsaLevel::kScalar),
+  EXPECT_THROW(simd::select_kernel<double>(simd::SimdPolicy::kForceWidth, 0),
+               std::runtime_error);
+  EXPECT_THROW(simd::select_kernel<float>(simd::SimdPolicy::kForceWidth, 0),
                std::runtime_error);
 }
 
@@ -240,53 +255,13 @@ TEST(SimdDispatch, ForceWidthRejectsUnavailableWidth) {
       std::runtime_error);
 }
 
-TEST(SimdDispatch, AutoMatchesDetectedCapability) {
-  const simd::IsaLevel host = simd::detect_best_isa();
-  const auto k = simd::select_kernel<double>(simd::SimdPolicy::kAuto);
-  EXPECT_EQ(k.isa, host);
-  EXPECT_EQ(k.lanes, simd::isa_lanes(host, sizeof(double)));
-  if (!simd::simd_compiled()) {
-    EXPECT_EQ(host, simd::IsaLevel::kScalar);
-  }
-}
-
-#if defined(ARA_SIMD_HAVE_AVX2)
-TEST(SimdDispatch, ForceWidthSelectsAvx2Lanes) {
-  if (simd::detect_best_isa() != simd::IsaLevel::kAvx2) {
-    GTEST_SKIP() << "host CPU lacks AVX2 at runtime";
-  }
-  const auto d = simd::select_kernel<double>(simd::SimdPolicy::kForceWidth, 4);
-  EXPECT_EQ(d.isa, simd::IsaLevel::kAvx2);
-  EXPECT_EQ(d.lanes, 4u);
-  const auto f = simd::select_kernel<float>(simd::SimdPolicy::kForceWidth, 8);
-  EXPECT_EQ(f.isa, simd::IsaLevel::kAvx2);
-  EXPECT_EQ(f.lanes, 8u);
-  // A width from the wrong precision must fail loudly, not mis-lane.
-  EXPECT_THROW(
-      simd::select_kernel<double>(simd::SimdPolicy::kForceWidth, 8),
-      std::runtime_error);
-}
-#endif
-
-#if defined(ARA_SIMD_HAVE_NEON)
-TEST(SimdDispatch, ForceWidthSelectsNeonLanes) {
-  const auto d = simd::select_kernel<double>(simd::SimdPolicy::kForceWidth, 2);
-  EXPECT_EQ(d.isa, simd::IsaLevel::kNeon);
-  EXPECT_EQ(d.lanes, 2u);
-  const auto f = simd::select_kernel<float>(simd::SimdPolicy::kForceWidth, 4);
-  EXPECT_EQ(f.isa, simd::IsaLevel::kNeon);
-  EXPECT_EQ(f.lanes, 4u);
-}
-#endif
-
 // --- remainder lanes -----------------------------------------------
 
-// Every (layer count, ELT count) in 1..9 x 1..9 — bracketing all the
-// partial-vector remainders of both the 4/8-lane AVX2 and 2/4-lane
-// NEON kernels, plus the padded-layer tail of the phase-2 loop. The
-// scalar kernel must be bitwise-equal to the four-pass oracle and the
-// auto kernel within tolerance, driven directly (no engine on top), so
-// a remainder bug cannot hide behind engine plumbing.
+// Every (layer count, ELT count) in 1..9 x 1..9: one-layer and
+// multi-layer sweeps over tables summed from one to nine ELTs. The
+// kernel kScalar and kAuto select must be bitwise-equal to the
+// four-pass oracle, driven directly (no engine on top), so a shape bug
+// cannot hide behind engine plumbing.
 TEST(SimdRemainderLanes, AllSmallShapesMatchReference) {
   const synth::Catalogue catalogue = synth::Catalogue::make(200, 3, 30.0);
   synth::YetGeneratorConfig yc;
@@ -295,7 +270,7 @@ TEST(SimdRemainderLanes, AllSmallShapesMatchReference) {
   const Yet yet = synth::generate_yet(catalogue, yc);
 
   const auto scalar = simd::select_kernel<double>(simd::SimdPolicy::kScalar);
-  const auto vec = simd::select_kernel<double>(simd::SimdPolicy::kAuto);
+  const auto automatic = simd::select_kernel<double>(simd::SimdPolicy::kAuto);
 
   for (std::size_t layers = 1; layers <= 9; ++layers) {
     for (std::size_t elts = 1; elts <= 9; ++elts) {
@@ -318,21 +293,21 @@ TEST(SimdRemainderLanes, AllSmallShapesMatchReference) {
       simd::PortfolioTrialState<double> state(bp);
 
       Ylt got_scalar(layers, yet.trial_count());
-      Ylt got_vec(layers, yet.trial_count());
+      Ylt got_auto(layers, yet.trial_count());
       for (TrialId t = 0; t < yet.trial_count(); ++t) {
         scalar.sweep(bp, yet.trial(t), state);
         for (std::size_t a = 0; a < layers; ++a) {
           got_scalar.annual_loss(a, t) = state.annual[a];
           got_scalar.max_occurrence_loss(a, t) = state.max_occurrence[a];
         }
-        vec.sweep(bp, yet.trial(t), state);
+        automatic.sweep(bp, yet.trial(t), state);
         for (std::size_t a = 0; a < layers; ++a) {
-          got_vec.annual_loss(a, t) = state.annual[a];
-          got_vec.max_occurrence_loss(a, t) = state.max_occurrence[a];
+          got_auto.annual_loss(a, t) = state.annual[a];
+          got_auto.max_occurrence_loss(a, t) = state.max_occurrence[a];
         }
       }
       expect_bitwise(got_scalar, expect, what + "/scalar");
-      expect_close(got_vec, expect, 1e-9, what + "/auto");
+      expect_bitwise(got_auto, expect, what + "/auto");
     }
   }
 }
@@ -344,10 +319,10 @@ TEST(SimdRemainderLanes, AllSmallShapesMatchReference) {
 // than the trial, exactly one window, and one row beyond it. The
 // catalogue's last event id reads the table's last row, at the start,
 // end and just-past-the-window positions. The table is at least
-// kPrefetchMinTableBytes in both precisions, so prefetch is live; one-
-// and two-layer books cover the single-layer fast path and the general
-// loop.
-constexpr EventId kEdgeCatalogue = 200000;
+// kPrefetchMinTableBytes in both precisions, even one f32 column of
+// (600,000 + 1) x 4 B, so prefetch is live; one- and two-layer books
+// cover the single-layer fast path and the general loop.
+constexpr EventId kEdgeCatalogue = 600000;
 
 Portfolio edge_portfolio(std::size_t layers) {
   std::vector<Elt> elts;
@@ -411,7 +386,7 @@ Ylt sweep_ylt(const simd::SweepKernel<Real>& kernel,
 }
 
 template <typename Real>
-void expect_window_edges_match_reference(std::size_t layers, double rel) {
+void expect_window_edges_match_reference(std::size_t layers) {
   const Portfolio portfolio = edge_portfolio(layers);
   const Yet yet = edge_yet();
   const std::string what = std::to_string(layers) + "L/" +
@@ -428,15 +403,15 @@ void expect_window_edges_match_reference(std::size_t layers, double rel) {
   expect_bitwise(
       sweep_ylt(simd::select_kernel<Real>(simd::SimdPolicy::kScalar), bp, yet),
       expect, what + "/scalar");
-  expect_close(
+  expect_bitwise(
       sweep_ylt(simd::select_kernel<Real>(simd::SimdPolicy::kAuto), bp, yet),
-      expect, rel, what + "/auto");
+      expect, what + "/auto");
 }
 
 TEST(SimdPrefetchWindow, TrialLengthsAroundWindowMatchReference) {
   for (const std::size_t layers : {1, 2}) {
-    expect_window_edges_match_reference<double>(layers, 1e-9);
-    expect_window_edges_match_reference<float>(layers, 1e-5);
+    expect_window_edges_match_reference<double>(layers);
+    expect_window_edges_match_reference<float>(layers);
   }
 }
 

@@ -1,15 +1,17 @@
-// Direct unit tests of the per-trial operand sequence — elt_sum +
-// aggregate_step driven by the kScalar sweep, the routine every
-// engine's inner loop is built from — and of the event-major loss
-// tables it reads.
+// Direct unit tests of the per-trial operand sequence — aggregate_step
+// driven by the kScalar sweep, the routine every engine's inner loop
+// is built from — and of the layer-event table it reads.
 #include "core/trial_math.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "core/lookup_table.hpp"
 #include "core/simd/bound_portfolio.hpp"
 #include "core/simd/kernels.hpp"
 #include "four_pass_reference.hpp"
@@ -39,10 +41,11 @@ std::vector<Outcome<Real>> sweep(const Portfolio& portfolio,
   return out;
 }
 
-// Event e's loss in column c of the event-major rows.
+// Layer a's pre-occurrence-terms loss for event e: cell (e, a) of the
+// event-major rows.
 template <typename Real>
-Real cell(const TableStore<Real>& store, EventId e, std::size_t c) {
-  return store.data()[static_cast<std::size_t>(e) * store.width + c];
+Real cell(const TableStore<Real>& store, EventId e, std::size_t a) {
+  return store.data()[static_cast<std::size_t>(e) * store.width + a];
 }
 
 struct Fixture {
@@ -140,15 +143,18 @@ TEST(TrialMath, FloatInstantiationTracksDouble) {
               1e-4 * (1.0 + d.annual));
 }
 
-TEST(TrialMath, BindingResolvesLayerOrder) {
+TEST(TrialMath, BindingReadsTheLayerColumn) {
   Fixture f(LayerTerms::identity());
   const simd::BoundPortfolio<double> bp =
       simd::bind_portfolio(f.portfolio, f.tables);
-  EXPECT_EQ(bp.elt_end[0] - bp.elt_begin[0], 2u);
-  EXPECT_DOUBLE_EQ(bp.table_base[0][1 * bp.row_stride], 100.0);
-  EXPECT_DOUBLE_EQ(bp.table_base[1][4 * bp.row_stride], 400.0);
+  ASSERT_EQ(bp.layers, 1u);
+  EXPECT_EQ(bp.rows, f.tables.data());
+  EXPECT_DOUBLE_EQ(bp.row(1)[0], 100.0);
+  EXPECT_DOUBLE_EQ(bp.row(2)[0], 250.0);  // 200 + 50, summed at build
+  EXPECT_DOUBLE_EQ(bp.row(4)[0], 400.0);
 }
 
+// One column per layer, each holding its own ELTs' sum.
 TEST(TrialMath, TableStorePerLayerShapes) {
   std::vector<Elt> elts;
   elts.emplace_back(std::vector<EventLoss>{{1, 1.0}},
@@ -159,14 +165,16 @@ TEST(TrialMath, TableStorePerLayerShapes) {
               {Layer{"a", {0}, LayerTerms::identity()},
                Layer{"b", {0, 1}, LayerTerms::identity()}});
   const TableStore<double> store = build_tables<double>(p);
-  ASSERT_EQ(store.per_layer.size(), 2u);
-  EXPECT_EQ(store.per_layer[0].size(), 1u);
-  EXPECT_EQ(store.per_layer[1].size(), 2u);
+  ASSERT_EQ(store.width, 2u);
+  EXPECT_EQ(cell(store, 1, 0), 1.0);
+  EXPECT_EQ(cell(store, 1, 1), 1.0);
+  EXPECT_EQ(cell(store, 2, 0), 0.0);
+  EXPECT_EQ(cell(store, 2, 1), 2.0);
 }
 
-// Layers sharing an ELT must share one column, not get one per
-// (layer, ELT) pair — the per-run allocation churn the session cache
-// exists to amortise.
+// Layers sharing an ELT each carry its loss in their own column, in
+// whatever slot order they list it; an ELT no layer references adds
+// neither a loss nor coverage.
 TEST(TrialMath, TableStoreDeduplicatesSharedElts) {
   std::vector<Elt> elts;
   elts.emplace_back(std::vector<EventLoss>{{1, 1.0}},
@@ -180,13 +188,15 @@ TEST(TrialMath, TableStoreDeduplicatesSharedElts) {
                Layer{"b", {1, 0}, LayerTerms::identity()},
                Layer{"c", {0, 1}, LayerTerms::identity()}});
   const TableStore<double> store = build_tables<double>(p);
-  // ELT 2 is unreferenced; only two columns materialise for 6 slots,
-  // numbered in first-reference order.
-  EXPECT_EQ(store.width, 2u);
-  const std::vector<std::vector<std::size_t>> want = {{0, 1}, {1, 0}, {0, 1}};
-  EXPECT_EQ(store.per_layer, want);
-  EXPECT_DOUBLE_EQ(cell(store, 2, store.per_layer[1][0]), 2.0);
-  EXPECT_DOUBLE_EQ(cell(store, 1, store.per_layer[1][1]), 1.0);
+  EXPECT_EQ(store.width, 3u);
+  for (std::size_t a = 0; a < 3; ++a) {
+    EXPECT_EQ(cell(store, 1, a), 1.0) << "layer " << a;
+    EXPECT_EQ(cell(store, 2, a), 2.0) << "layer " << a;
+    EXPECT_EQ(cell(store, 3, a), 0.0) << "layer " << a;
+  }
+  EXPECT_TRUE(store.covers(1));
+  EXPECT_TRUE(store.covers(2));
+  EXPECT_FALSE(store.covers(3));
 }
 
 // A moved-from-into store keeps its rows, and every binding of them,
@@ -200,69 +210,140 @@ TEST(TrialMath, TableStoreSurvivesMove) {
   const TableStore<double> moved = std::move(store);
   EXPECT_EQ(moved.data(), rows);
   EXPECT_EQ(store.data(), nullptr);
-  EXPECT_DOUBLE_EQ(cell(moved, 1, moved.per_layer[0][0]), 100.0);
-  EXPECT_DOUBLE_EQ(cell(moved, 4, moved.per_layer[0][1]), 400.0);
-  EXPECT_DOUBLE_EQ(bp.table_base[1][2 * bp.row_stride], 50.0);
+  EXPECT_DOUBLE_EQ(cell(moved, 1, 0), 100.0);
+  EXPECT_DOUBLE_EQ(cell(moved, 4, 0), 400.0);
+  EXPECT_DOUBLE_EQ(bp.row(2)[0], 250.0);
 }
 
-// Three ELTs referenced out of index order by two layers, one ELT
-// shared: columns follow first reference (ELT 2, 0, 1), and every
-// record of every ELT sits at (event, column), in both precisions.
-Portfolio scattered_portfolio() {
-  constexpr EventId kCatalogue = 97;
+// --- the layer-event table wall --------------------------------------
+
+// Every corner of the sparse build: layers sharing ELTs in either slot
+// order, an ELT listed twice in one layer, a zero-share ELT under an
+// unlimited cover, a retention above every loss (covered cells of
+// +0.0), a record of loss 0, events on both sides of the coverage
+// bitmap's word boundaries up to the catalogue's last id, and more
+// layers (6) than distinct ELTs (4).
+constexpr EventId kWallCatalogue = 130;
+
+Portfolio table_wall_portfolio() {
+  FinancialTerms scaled;
+  scaled.fx_rate = 1.1;
+  scaled.retention = 5.0;
+  scaled.limit = 900.0;
+  scaled.share = 0.8;
+  FinancialTerms no_share;  // limit stays +inf
+  no_share.share = 0.0;
+  FinancialTerms deep;
+  deep.retention = 1e9;  // above every loss
   std::vector<Elt> elts;
-  for (EventId k = 0; k < 3; ++k) {
-    std::vector<EventLoss> records;
-    for (EventId e = 1; e <= kCatalogue; ++e) {
-      if ((e + k) % (3 + k) == 0 || e == kCatalogue) {
-        records.push_back({e, 1000.0 * (k + 1) + e + 0.25});
-      }
-    }
-    elts.emplace_back(std::move(records), FinancialTerms::identity(),
-                      kCatalogue);
-  }
+  elts.emplace_back(
+      std::vector<EventLoss>{{1, 123.456}, {17, 0.3}, {40, 0.0},
+                             {63, 977.7}, {64, 5.01}, {65, 1234.5678},
+                             {kWallCatalogue, 41.3}},
+      scaled, kWallCatalogue);
+  elts.emplace_back(std::vector<EventLoss>{{1, 70.0}, {64, 3.25}, {100, 9.0}},
+                    no_share, kWallCatalogue);
+  elts.emplace_back(std::vector<EventLoss>{{63, 1e6}, {65, 2.5}, {90, 77.0}},
+                    deep, kWallCatalogue);
+  elts.emplace_back(
+      std::vector<EventLoss>{{2, 0.1}, {64, 1.0 / 3.0}, {kWallCatalogue, 1e-7}},
+      FinancialTerms::identity(), kWallCatalogue);
   return Portfolio(std::move(elts),
-                   {Layer{"a", {2, 0}, LayerTerms::identity()},
-                    Layer{"b", {1, 2}, LayerTerms::identity()}});
+                   {Layer{"both", {0, 3}, LayerTerms::identity()},
+                    Layer{"reversed", {3, 0}, LayerTerms::identity()},
+                    Layer{"twice", {0, 0}, LayerTerms::identity()},
+                    Layer{"no share", {1}, LayerTerms::identity()},
+                    Layer{"deep", {2}, LayerTerms::identity()},
+                    Layer{"mixed", {2, 1, 3}, LayerTerms::identity()}});
 }
 
 template <typename Real>
-void expect_every_record_at_its_cell(const Portfolio& p) {
+auto bits(Real x) {
+  if constexpr (sizeof(Real) == 4) {
+    return std::bit_cast<std::uint32_t>(x);
+  } else {
+    return std::bit_cast<std::uint64_t>(x);
+  }
+}
+
+// The oracle: each slot's loss looked up in its own DirectAccessTable,
+// its terms applied, summed in slot order from +0.0 — Algorithm 1's
+// lines 5-13 over dense per-ELT tables, sharing nothing with
+// build_tables.
+template <typename Real>
+void expect_cells_equal_dense_slot_sums(const Portfolio& p) {
+  const std::string what = sizeof(Real) == 4 ? "f32" : "f64";
   const TableStore<Real> store = build_tables<Real>(p);
-  const std::vector<std::vector<std::size_t>> want = {{0, 1}, {2, 0}};
-  ASSERT_EQ(store.per_layer, want);
-  ASSERT_EQ(store.width, 3u);
-  ASSERT_EQ(store.events, static_cast<std::size_t>(p.catalogue_size()) + 1);
-  ASSERT_EQ(store.slots(), 3u * (p.catalogue_size() + 1u));
-  const std::size_t column_of_elt[] = {1, 2, 0};
-  for (std::size_t k = 0; k < p.elt_count(); ++k) {
-    const Elt& elt = p.elts()[k];
-    const std::size_t c = column_of_elt[k];
-    for (const EventLoss& r : elt.records()) {
-      EXPECT_EQ(store.data()[r.event * store.width + c],
-                static_cast<Real>(r.loss))
-          << "ELT " << k << " event " << r.event;
+  const std::size_t events = static_cast<std::size_t>(p.catalogue_size()) + 1;
+  ASSERT_EQ(store.events, events) << what;
+  ASSERT_EQ(store.width, p.layer_count()) << what;
+  // The documented bound: (catalogue + 1) x layers x sizeof(Real),
+  // here above the per-ELT layout's (catalogue + 1) x 4 distinct ELTs.
+  EXPECT_EQ(store.bytes(), events * p.layer_count() * sizeof(Real)) << what;
+  EXPECT_GT(store.bytes(), events * p.elt_count() * sizeof(Real)) << what;
+  ASSERT_EQ(store.covered.size(), (events + 63) / 64) << what;
+
+  std::vector<DirectAccessTable<Real>> dense;
+  dense.reserve(p.elt_count());
+  for (const Elt& elt : p.elts()) dense.emplace_back(elt);
+  for (EventId e = 0; e <= p.catalogue_size(); ++e) {
+    bool recorded = false;
+    for (const Elt& elt : p.elts()) {
+      for (const EventLoss& r : elt.records()) recorded |= r.event == e;
     }
-    // Every event, present or absent (0).
-    for (EventId e = 0; e <= p.catalogue_size(); ++e) {
-      EXPECT_EQ(cell(store, e, c), static_cast<Real>(elt.lookup(e)))
-          << "ELT " << k << " event " << e;
+    EXPECT_EQ(store.covers(e), recorded) << what << " event " << e;
+    for (std::size_t a = 0; a < p.layer_count(); ++a) {
+      Real sum = Real(0);
+      for (const std::size_t idx : p.layers()[a].elt_indices) {
+        sum += apply_financial_terms(dense[idx].at(e), p.elts()[idx].terms());
+      }
+      EXPECT_EQ(bits(cell(store, e, a)), bits(sum))
+          << what << " event " << e << " layer " << a;
     }
   }
 }
 
-TEST(TrialMath, EventMajorRowsHoldEveryRecordAtItsColumn) {
-  const Portfolio p = scattered_portfolio();
-  expect_every_record_at_its_cell<double>(p);
-  expect_every_record_at_its_cell<float>(p);
+TEST(LayerEventTable, EveryCellIsTheDenseSlotOrderSum) {
+  const Portfolio p = table_wall_portfolio();
+  expect_cells_equal_dense_slot_sums<double>(p);
+  expect_cells_equal_dense_slot_sums<float>(p);
+}
+
+// The corners the wall's book was built for, stated directly.
+TEST(LayerEventTable, CornerCellsHoldTheirDocumentedValues) {
+  const Portfolio p = table_wall_portfolio();
+  const TableStore<double> store = build_tables<double>(p);
+  const auto positive_zero = [](double x) { return bits(x) == 0; };
+  // The zero-share ELT under an unlimited cover: exactly +0.0.
+  EXPECT_TRUE(positive_zero(cell(store, 1, 3)));
+  EXPECT_TRUE(store.covers(100));
+  EXPECT_TRUE(positive_zero(cell(store, 100, 3)));
+  // Retention above every loss: covered, and +0.0.
+  for (const EventId e : {63u, 65u, 90u}) {
+    EXPECT_TRUE(store.covers(e)) << e;
+    EXPECT_TRUE(positive_zero(cell(store, e, 4))) << e;
+  }
+  // A record of loss 0 still marks its event covered.
+  EXPECT_TRUE(store.covers(40));
+  EXPECT_TRUE(positive_zero(cell(store, 40, 0)));
+  // An ELT listed twice counts twice: 2 x 0.8 * (1.1 * 123.456 - 5).
+  const double once = apply_financial_terms(123.456, p.elts()[0].terms());
+  EXPECT_EQ(cell(store, 1, 2), once + once);
+  // Word boundaries of the bitmap and the last event id.
+  for (const EventId e : {1u, 63u, 64u, 65u, kWallCatalogue}) {
+    EXPECT_TRUE(store.covers(e)) << e;
+  }
+  EXPECT_FALSE(store.covers(0));
+  EXPECT_FALSE(store.covers(66));
+  EXPECT_FALSE(store.covers(kWallCatalogue - 1));
 }
 
 TEST(TrialMath, EventAbsentFromEltReadsZero) {
   Fixture f(LayerTerms::identity());
-  EXPECT_EQ(cell(f.tables, 4, 0), 0.0);   // only in ELT 1
-  EXPECT_EQ(cell(f.tables, 1, 1), 0.0);   // only in ELT 0
-  EXPECT_EQ(cell(f.tables, 0, 0), 0.0);   // the unused id-0 row
-  EXPECT_EQ(cell(f.tables, 10, 1), 0.0);  // last catalogue event
+  EXPECT_EQ(cell(f.tables, 3, 0), 300.0);  // only in ELT 0
+  EXPECT_EQ(cell(f.tables, 4, 0), 400.0);  // only in ELT 1
+  EXPECT_EQ(cell(f.tables, 0, 0), 0.0);    // the unused id-0 row
+  EXPECT_EQ(cell(f.tables, 10, 0), 0.0);   // last catalogue event
 }
 
 // Just over simd::kHugePageMinBytes: the rows start on a 2 MiB
@@ -275,7 +356,8 @@ TEST(TrialMath, LargeTableIsHugePageAligned) {
   elts.emplace_back(std::vector<EventLoss>{{2, 21.0}, {kCatalogue, 22.0}},
                     FinancialTerms::identity(), kCatalogue);
   const Portfolio p(std::move(elts),
-                    {Layer{"L", {0, 1}, LayerTerms::identity()}});
+                    {Layer{"first", {0}, LayerTerms::identity()},
+                     Layer{"second", {1}, LayerTerms::identity()}});
   const TableStore<double> store = build_tables<double>(p);
   ASSERT_GT(store.bytes(), simd::kHugePageMinBytes);
   ASSERT_LT(store.bytes(), simd::kHugePageMinBytes + 64);

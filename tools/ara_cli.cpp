@@ -33,10 +33,10 @@
 // across the session's shard scheduler and merged — bitwise identical
 // to the monolithic run (DESIGN.md §5).
 //
-// --simd selects the hot-path kernel mode (DESIGN.md §8): "scalar" is
-// the bitwise-reference sequence (the default), "auto" dispatches the
-// widest vector kernel the host supports, "force:N" demands an N-lane
-// kernel and fails loudly when the host cannot provide one.
+// --simd selects the hot-path kernel mode (DESIGN.md §8): "scalar"
+// (the default) and "auto" both run the one scalar kernel, bitwise the
+// reference sequence; "force[:N]" demands a vector kernel and fails
+// loudly, since none exists.
 //
 // --workers N runs the analysis distributed (DESIGN.md §9): an
 // embedded ShardCoordinator leases trial ranges to N spawned
@@ -599,9 +599,7 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
     for (const EngineKind k : all_engine_kinds()) {
       ExecutionPolicy tuned = policy;
       tuned.config = apply_tuning(paper_config(k));
-      for (EnginePrediction& p : session.predict(portfolio, yet, tuned)) {
-        if (p.kind == k) rows.push_back(std::move(p));
-      }
+      rows.push_back(session.predict_kind(portfolio, yet, tuned, k));
     }
     const EnginePrediction* best = nullptr;
     for (const EnginePrediction& p : rows) {
